@@ -11,8 +11,6 @@
 //                         pruning)
 //   batched             — RouteMany per departure group on the optimized
 //                         search + cached access stops
-//   csa batched         — RouteMany per departure group on the Connection
-//                         Scan engine over the shared connection array
 //   csa profile         — ONE window scan per zone: every departure group
 //                         is a lane of the same connection sweep (the
 //                         production configuration)
@@ -140,8 +138,6 @@ exp::RunResult RunLabelingBench() {
   results.push_back(run_serial("per-trip+pruning", {},
                                core::LabelingMode::kPerTrip));
   results.push_back(run_serial("batched", {}, core::LabelingMode::kBatched));
-  results.push_back(
-      run_serial("csa batched", csa_opts, core::LabelingMode::kBatched));
   results.push_back(
       run_serial("csa profile", csa_opts, core::LabelingMode::kProfile));
 

@@ -8,6 +8,8 @@
 //   2. create an AccessQueryEngine for a time interval,
 //   3. query aggregate access to a POI category — exactly, or with the
 //      SSR solution at a labeling budget.
+// The engine is a front door over serve::AqServer, so the numbers printed
+// here are exactly what the server (and `staq_cli query`) would answer.
 #include <cstdio>
 
 #include "core/access_query.h"
@@ -31,7 +33,8 @@ int main() {
               city.feed.num_trips());
 
   // 2. Engine for the weekday AM peak (07:00-09:00 Tuesday). Construction
-  //    runs the offline phase: walking isochrones + transit-hop trees.
+  //    starts a one-worker AqServer and runs the offline phase: walking
+  //    isochrones + transit-hop trees (plus the Connection Scan array).
   core::AccessQueryEngine engine(std::move(city), gtfs::WeekdayAmPeak());
   std::printf("offline pre-computation: %.3f s\n", engine.offline_seconds());
 

@@ -1,9 +1,8 @@
 #include "core/access_query.h"
 
-#include <algorithm>
-
 #include "ml/kernels.h"
-#include "util/stopwatch.h"
+#include "serve/server.h"
+#include "util/check.h"
 
 namespace staq::core {
 
@@ -55,152 +54,58 @@ void FinalizeAccessQueryResultColumnar(const std::vector<synth::Zone>& zones,
       WeightedJainIndexColumnar(result->mac, vulnerable_weights);
 }
 
+namespace {
+
+/// One worker: a synchronous caller never has more than one request in
+/// flight.
+constexpr size_t kEngineThreads = 1;
+
+serve::AqServer::Options EngineServerOptions() {
+  serve::AqServer::Options options;
+  options.num_threads = kEngineThreads;
+  return options;
+}
+
+}  // namespace
+
 AccessQueryEngine::AccessQueryEngine(synth::City city,
                                      gtfs::TimeInterval interval)
-    : city_(std::move(city)), interval_(interval) {
-  pipeline_ = std::make_unique<SsrPipeline>(&city_, interval_);
+    : interval_(interval),
+      server_(std::make_unique<serve::AqServer>(std::move(city), interval,
+                                                EngineServerOptions())) {}
+
+AccessQueryEngine::~AccessQueryEngine() = default;
+
+const synth::City& AccessQueryEngine::city() const {
+  return server_->base_city();
+}
+
+double AccessQueryEngine::offline_seconds() const {
+  return server_->Snapshot()->offline().build_seconds;
 }
 
 util::Result<AccessQueryResult> AccessQueryEngine::Query(
     synth::PoiCategory category, const AccessQueryOptions& options) {
-  std::vector<synth::Poi> pois = city_.PoisOf(category);
-  if (pois.empty()) {
-    return util::Status::NotFound("no POIs of requested category");
-  }
-
-  util::Stopwatch watch;
-  Todam todam = pipeline_->BuildGravityTodam(pois, options.gravity,
-                                             options.seed);
-
-  AccessQueryResult result;
-  result.gravity_trips = todam.num_trips();
-
-  if (options.exact) {
-    GroundTruth truth =
-        pipeline_->ComputeGroundTruth(pois, todam, options.cost, options.gac);
-    result.mac = std::move(truth.mac);
-    result.acsd = std::move(truth.acsd);
-    result.spqs = truth.spqs;
-  } else {
-    PipelineConfig config;
-    config.beta = options.beta;
-    config.model = options.model;
-    config.cost = options.cost;
-    config.gac = options.gac;
-    config.seed = options.seed;
-    auto run = pipeline_->Run(pois, todam, config);
-    if (!run.ok()) return run.status();
-    result.mac = std::move(run.value().mac);
-    result.acsd = std::move(run.value().acsd);
-    result.spqs = run.value().spqs;
-  }
-
-  FinalizeAccessQueryResult(city_.zones, &result);
-
-  result.elapsed_s = watch.ElapsedSeconds();
-  return result;
-}
-
-util::Result<std::vector<AccessQueryResult>> AccessQueryEngine::QueryVector(
-    synth::PoiCategory category, const AccessQueryOptions& base,
-    const VectorQuerySpec& spec) {
-  if (!base.exact) {
-    return util::Status::InvalidArgument(
-        "vector queries require exact=true: SSR members train per-member "
-        "models and share no labeling pass");
-  }
-  std::vector<synth::PoiCategory> categories =
-      spec.categories.empty() ? std::vector<synth::PoiCategory>{category}
-                              : spec.categories;
-  std::vector<uint64_t> seeds = spec.seeds.empty()
-                                    ? std::vector<uint64_t>{base.seed}
-                                    : spec.seeds;
-  std::vector<CostMember> members =
-      spec.cost_members.empty()
-          ? std::vector<CostMember>{{base.cost, base.gac}}
-          : spec.cost_members;
-  for (const CostMember& m : members) {
-    if (m.cost == CostKind::kGeneralizedCost && !m.gac.Valid()) {
-      return util::Status::InvalidArgument(
-          "invalid GAC weights in vector query member");
-    }
-  }
-
-  std::vector<AccessQueryResult> out;
-  out.reserve(categories.size() * seeds.size() * members.size());
-  std::vector<double> member_costs;
-  for (synth::PoiCategory cat : categories) {
-    for (uint64_t seed : seeds) {
-      if (!spec.use_columnar) {
-        // Scalar foil: each derived member is an independent full query.
-        for (const CostMember& m : members) {
-          AccessQueryOptions options = base;
-          options.seed = seed;
-          options.cost = m.cost;
-          options.gac = m.gac;
-          auto result = Query(cat, options);
-          if (!result.ok()) return result.status();
-          out.push_back(std::move(result.value()));
-        }
-        continue;
-      }
-
-      std::vector<synth::Poi> pois = city_.PoisOf(cat);
-      if (pois.empty()) {
-        return util::Status::NotFound("no POIs of requested category");
-      }
-      util::Stopwatch watch;
-      Todam todam = pipeline_->BuildGravityTodam(pois, base.gravity, seed);
-      CapturedCosts captured =
-          pipeline_->CaptureGroundTruthColumns(pois, todam);
-      for (const CostMember& m : members) {
-        AccessQueryResult result;
-        result.gravity_trips = todam.num_trips();
-        MemberCostColumn(captured.columns, m, &member_costs);
-        std::vector<ZoneLabel> labels =
-            AggregateZoneLabels(captured.columns, member_costs);
-        result.mac.resize(labels.size());
-        result.acsd.resize(labels.size());
-        for (size_t z = 0; z < labels.size(); ++z) {
-          result.mac[z] = labels[z].mac;
-          result.acsd[z] = labels[z].acsd;
-        }
-        // Each member reports the full pass it would have paid alone.
-        result.spqs = captured.spqs;
-        FinalizeAccessQueryResultColumnar(city_.zones, &result);
-        result.elapsed_s = watch.ElapsedSeconds();
-        out.push_back(std::move(result));
-      }
-    }
-  }
-  return out;
+  return server_->Query(serve::AqRequest{category, options});
 }
 
 uint32_t AccessQueryEngine::AddPoi(synth::PoiCategory category,
                                    const geo::Point& position) {
-  uint32_t id = city_.pois.empty() ? 0 : city_.pois.back().id + 1;
-  city_.pois.push_back(synth::Poi{id, category, position});
-  ++scenario_version_;
-  return id;
+  auto report = server_->AddPoi(category, position);
+  // Mutations fail only on an escaped exception (resource exhaustion or an
+  // injected fault), and this signature has no error channel.
+  STAQ_CHECK(report.ok(), "AccessQueryEngine::AddPoi mutation failed");
+  return report.value().poi_id;
 }
 
 util::Status AccessQueryEngine::RemovePoi(uint32_t poi_id) {
-  auto it = std::find_if(city_.pois.begin(), city_.pois.end(),
-                         [poi_id](const synth::Poi& p) {
-                           return p.id == poi_id;
-                         });
-  if (it == city_.pois.end()) {
-    return util::Status::NotFound("no POI with id " + std::to_string(poi_id));
-  }
-  city_.pois.erase(it);
-  ++scenario_version_;
-  return util::Status::OK();
+  return server_->RemovePoi(poi_id).status();
 }
 
 void AccessQueryEngine::SetInterval(const gtfs::TimeInterval& interval) {
+  auto report = server_->SetInterval(interval);
+  STAQ_CHECK(report.ok(), "AccessQueryEngine::SetInterval mutation failed");
   interval_ = interval;
-  pipeline_ = std::make_unique<SsrPipeline>(&city_, interval_);
-  ++scenario_version_;
 }
 
 }  // namespace staq::core

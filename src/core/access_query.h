@@ -10,13 +10,26 @@
 // can be added or removed (e.g. testing a new vaccination-centre site) and
 // the analysis interval can be changed (re-running the offline phase);
 // subsequent queries reflect the updated scenario.
+//
+// The engine is a synchronous front door over one serve::AqServer
+// (serve/server.h): every query, mutation and interval switch is forwarded
+// to it, so library answers are exactly the server's — the edit-stable
+// TODAM routed on the Connection Scan engine.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "core/pipeline.h"
+#include "core/gravity.h"
+#include "core/labeling.h"
+#include "core/measures.h"
+#include "ml/model_factory.h"
+#include "router/cost.h"
 #include "synth/city_builder.h"
+
+namespace staq::serve {
+class AqServer;
+}  // namespace staq::serve
 
 namespace staq::core {
 
@@ -49,9 +62,9 @@ struct AccessQueryResult {
 };
 
 /// Assembles the user-facing answer from zone-level measures: classes,
-/// summary means, and the three fairness indices. Shared by the single
-/// client engine below and the concurrent serve subsystem (serve/server.h);
-/// `result.mac`/`result.acsd` must already be populated.
+/// summary means, and the three fairness indices. Used by the serve
+/// subsystem (serve/server.h); `result.mac`/`result.acsd` must already be
+/// populated.
 void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
                                AccessQueryResult* result);
 
@@ -61,46 +74,28 @@ void FinalizeAccessQueryResult(const std::vector<synth::Zone>& zones,
 void FinalizeAccessQueryResultColumnar(const std::vector<synth::Zone>& zones,
                                        AccessQueryResult* result);
 
-/// Axes of a vector query: one request template swept across POI
-/// categories, TODAM seeds (the `t`-resample axis) and cost definitions.
-/// An empty axis means "the template's value". Derived results are ordered
-/// category-major, then seed, then cost member — the order QueryVector
-/// returns and the serve batch tier caches under.
-struct VectorQuerySpec {
-  std::vector<synth::PoiCategory> categories;
-  std::vector<uint64_t> seeds;
-  std::vector<CostMember> cost_members;
-  /// false selects the scalar foil: one independent Query per derived
-  /// member, sharing nothing. Kept for equivalence tests and the
-  /// bench_load speedup gate.
-  bool use_columnar = true;
-};
-
-/// Owns a city and serves access queries against it.
+/// Owns a city (through its server) and answers access queries against it.
+/// Batch sweeps go to the server directly: serve::AqBatchRequest.
 class AccessQueryEngine {
  public:
   /// Takes ownership of the city. The offline phase for `interval` runs
   /// immediately.
   AccessQueryEngine(synth::City city, gtfs::TimeInterval interval);
+  ~AccessQueryEngine();
 
-  const synth::City& city() const { return city_; }
+  AccessQueryEngine(const AccessQueryEngine&) = delete;
+  AccessQueryEngine& operator=(const AccessQueryEngine&) = delete;
+
+  /// The city as constructed: zones, network and the initial POI set.
+  /// POI edits live in the server's current scenario.
+  const synth::City& city() const;
   const gtfs::TimeInterval& interval() const { return interval_; }
-  double offline_seconds() const { return pipeline_->offline_seconds(); }
+  /// Wall-clock of the current interval's offline phase.
+  double offline_seconds() const;
 
   /// Answers an AQ for one POI category under the current scenario.
   util::Result<AccessQueryResult> Query(synth::PoiCategory category,
                                         const AccessQueryOptions& options);
-
-  /// Answers a vector of derived queries in one call. All members of a
-  /// (category, seed) group share ONE exact labeling pass — journeys do
-  /// not depend on the cost definition — and each member's measures are
-  /// derived columnarly, bit-identical to the single Query it replaces
-  /// (including `spqs`, which every single exact query would pay in full).
-  /// Requires `base.exact`: SSR templates train per-member models and have
-  /// no shared pass to amortise (InvalidArgument).
-  util::Result<std::vector<AccessQueryResult>> QueryVector(
-      synth::PoiCategory category, const AccessQueryOptions& base,
-      const VectorQuerySpec& spec);
 
   /// Dynamic scenario edit: adds a POI (e.g. a candidate facility site).
   /// Returns its id. Takes effect on the next Query().
@@ -113,16 +108,9 @@ class AccessQueryEngine {
   /// trees are interval-specific).
   void SetInterval(const gtfs::TimeInterval& interval);
 
-  /// Monotonic counter bumped by every scenario mutation (POI add/remove,
-  /// interval switch). External caches keyed on it observe staleness
-  /// without inspecting the scenario itself.
-  uint64_t scenario_version() const { return scenario_version_; }
-
  private:
-  synth::City city_;
   gtfs::TimeInterval interval_;
-  std::unique_ptr<SsrPipeline> pipeline_;
-  uint64_t scenario_version_ = 0;
+  std::unique_ptr<serve::AqServer> server_;
 };
 
 }  // namespace staq::core

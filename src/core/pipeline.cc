@@ -224,18 +224,4 @@ GroundTruth SsrPipeline::ComputeGroundTruth(
   return truth;
 }
 
-CapturedCosts SsrPipeline::CaptureGroundTruthColumns(
-    const std::vector<synth::Poi>& pois, const Todam& todam) {
-  CapturedCosts captured;
-  util::Stopwatch watch;
-  LabelingEngine labeler(city_, router_.get());
-  for (uint32_t z = 0; z < city_->zones.size(); ++z) {
-    labeler.CaptureZoneCosts(todam, z, pois, interval_.day,
-                             &captured.columns);
-  }
-  captured.spqs = labeler.spq_count();
-  captured.labeling_s = watch.ElapsedSeconds();
-  return captured;
-}
-
 }  // namespace staq::core

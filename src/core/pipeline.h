@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/active_learning.h"
-#include "core/columnar.h"
 #include "core/features.h"
 #include "core/hoptree.h"
 #include "core/isochrone.h"
@@ -68,15 +67,6 @@ struct GroundTruth {
   double labeling_s = 0.0;
   uint64_t spqs = 0;
   double walk_only_fraction = 0.0;
-};
-
-/// One shared exact labeling pass captured as per-trip cost components
-/// (core/columnar.h): the basis a batch of cost definitions derives its
-/// ground-truth labels from without routing again.
-struct CapturedCosts {
-  TripCostColumns columns;
-  uint64_t spqs = 0;       // == the trip count, as ComputeGroundTruth reports
-  double labeling_s = 0.0;
 };
 
 /// The Fig. 3 / Fig. 4 quality metrics of one run against ground truth,
@@ -145,14 +135,6 @@ class SsrPipeline {
                                  const Todam& todam, CostKind cost,
                                  router::GacWeights gac = {},
                                  int num_threads = 1);
-
-  /// Runs the naive baseline's SPQ sweep ONCE and captures every trip's
-  /// cost basis. A batch of cost definitions then derives each member's
-  /// exact labels from the columns (MemberCostColumn + AggregateZoneLabels)
-  /// bit-identically to a per-member ComputeGroundTruth, paying the
-  /// routing — the dominant cost — a single time.
-  CapturedCosts CaptureGroundTruthColumns(const std::vector<synth::Poi>& pois,
-                                          const Todam& todam);
 
  private:
   const synth::City* city_;

@@ -35,6 +35,9 @@ void AqTcpServer::Stop() {
   }
   for (auto& conn : conns) {
     // Unblock the handler's recv; the thread then exits on kUnavailable.
+    // The handler owns the close; holding close_mu keeps this shutdown
+    // from landing on a closed fd number the kernel may have reused.
+    std::lock_guard<std::mutex> lock(conn->close_mu);
     if (conn->socket.valid()) ::shutdown(conn->socket.fd(), SHUT_RDWR);
   }
   for (auto& conn : conns) {
@@ -90,6 +93,7 @@ void AqTcpServer::AcceptLoop() {
         }
         if (!ServeFrame(sock, frame.value())) break;
       }
+      std::lock_guard<std::mutex> lock(raw->close_mu);
       sock.Close();
     });
   }

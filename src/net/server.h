@@ -72,8 +72,10 @@ class AqTcpServer {
 
  private:
   /// One live connection's socket, shared with Stop() so shutdown can
-  /// interrupt a blocked read.
+  /// interrupt a blocked read. The handler thread owns the close; close_mu
+  /// orders it against Stop()'s shutdown.
   struct Conn {
+    std::mutex close_mu;
     Socket socket;
     std::thread thread;
   };

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/access_query.h"
+#include "core/columnar.h"
 
 namespace staq::serve {
 
@@ -28,8 +29,8 @@ struct AqRequest {
 };
 
 /// One request template swept across POI categories, TODAM seeds, and cost
-/// definitions — the serve form of core::VectorQuerySpec. An empty axis
-/// means "the template's value". Every member of an exact batch that
+/// definitions — the library's one batch spec. An empty axis means "the
+/// template's value". Every member of an exact batch that
 /// shares a (category, seed) shares ONE labeling pass on a worker and its
 /// answer lands in the ResultCache under the derived single-query key, so
 /// later single submissions of any member are cache hits.

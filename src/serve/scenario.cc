@@ -213,11 +213,7 @@ ScenarioStore::ScenarioStore(synth::City city,
       options_(WithSharedConnections(std::move(options), &base_->feed)),
       network_city_(base_),
       network_router_(options_.router),
-      network_iso_(options_.iso),
-      relabel_router_(
-          std::make_unique<router::Router>(&base_->feed, network_router_)),
-      relabel_engine_(std::make_unique<core::LabelingEngine>(
-          base_.get(), relabel_router_.get())) {
+      network_iso_(options_.iso) {
   auto offline =
       std::make_shared<const OfflineState>(*base_, interval, options_.iso);
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_, base_->pois,
@@ -234,11 +230,7 @@ ScenarioStore::ScenarioStore(RestoredScenario restored, Options options)
       options_(WithSharedConnections(std::move(options), &base_->feed)),
       network_city_(base_),
       network_router_(options_.router),
-      network_iso_(options_.iso),
-      relabel_router_(
-          std::make_unique<router::Router>(&base_->feed, network_router_)),
-      relabel_engine_(std::make_unique<core::LabelingEngine>(
-          base_.get(), relabel_router_.get())) {
+      network_iso_(options_.iso) {
   auto scenario = std::make_shared<Scenario>(/*epoch=*/0, base_,
                                              std::move(restored.pois),
                                              std::move(restored.offline));
@@ -263,6 +255,16 @@ util::Status ScenarioStore::ExportSnapshot(const Scenario& scenario,
   // snapshot keeps counting instead of restarting at the local epoch.
   return store::SaveSnapshot(scenario, next_poi_id_.load(), path,
                              base_sequence_);
+}
+
+core::LabelingEngine* ScenarioStore::RelabelEngine() {
+  if (relabel_engine_ == nullptr) {
+    relabel_router_ =
+        std::make_unique<router::Router>(&network_city_->feed, network_router_);
+    relabel_engine_ = std::make_unique<core::LabelingEngine>(
+        network_city_.get(), relabel_router_.get());
+  }
+  return relabel_engine_.get();
 }
 
 std::shared_ptr<const Scenario> ScenarioStore::Acquire() const {
@@ -307,11 +309,12 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchAdd(
   // Fault site: relabeling the affected zones failing mid-mutation. Only
   // the un-installed copy is damaged; the store never publishes it.
   STAQ_FAILPOINT("serve.scenario.relabel");
-  relabel_engine_->set_gac_weights(key.gac);
-  uint64_t spq_before = relabel_engine_->spq_count();
-  relabel_engine_->RelabelZones(state->todam, affected, state->pois, key.cost,
-                               next.interval().day, &state->labels);
-  state->build_spqs = relabel_engine_->spq_count() - spq_before;
+  core::LabelingEngine* engine = RelabelEngine();
+  engine->set_gac_weights(key.gac);
+  uint64_t spq_before = engine->spq_count();
+  engine->RelabelZones(state->todam, affected, state->pois, key.cost,
+                       next.interval().day, &state->labels);
+  state->build_spqs = engine->spq_count() - spq_before;
   state->relabeled_zones = static_cast<uint32_t>(affected.size());
   return state;
 }
@@ -340,11 +343,12 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchRemove(
   state->todam.RemovePoiColumn(index, &affected);
 
   STAQ_FAILPOINT("serve.scenario.relabel");
-  relabel_engine_->set_gac_weights(key.gac);
-  uint64_t spq_before = relabel_engine_->spq_count();
-  relabel_engine_->RelabelZones(state->todam, affected, state->pois, key.cost,
-                               next.interval().day, &state->labels);
-  state->build_spqs = relabel_engine_->spq_count() - spq_before;
+  core::LabelingEngine* engine = RelabelEngine();
+  engine->set_gac_weights(key.gac);
+  uint64_t spq_before = engine->spq_count();
+  engine->RelabelZones(state->todam, affected, state->pois, key.cost,
+                       next.interval().day, &state->labels);
+  state->build_spqs = engine->spq_count() - spq_before;
   state->relabeled_zones = static_cast<uint32_t>(affected.size());
   return state;
 }
@@ -445,7 +449,7 @@ ScenarioStore::MutationReport ScenarioStore::SetInterval(
   // engine's cached access stops. Today the walk table is feed-derived and
   // survives interval switches, but the invalidation keeps the cache from
   // outliving any future mutation that does touch stop geometry.
-  relabel_engine_->InvalidateAccessStopCache();
+  if (relabel_engine_ != nullptr) relabel_engine_->InvalidateAccessStopCache();
 
   MutationReport report;
   report.epoch = next->epoch();
@@ -483,6 +487,7 @@ util::Result<ScenarioStore::MutationReport> ScenarioStore::ApplyTimetable(
   scenario::ImpactInputs impact;
   impact.city = network_city_.get();
   impact.feed = &network_city_->feed;
+  RelabelEngine();  // builds relabel_router_ on first use
   impact.walk = &relabel_router_->walk_table();
   impact.interval = current->interval();
   impact.removed_trips = std::move(transformed.removed_trips);

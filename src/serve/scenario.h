@@ -360,6 +360,9 @@ class ScenarioStore {
       scenario::TransformResult transformed, uint32_t target,
       util::Stopwatch watch);
   void Install(std::shared_ptr<const Scenario> next);
+  /// The writer-side labeling engine, built over the current network on
+  /// first use. Caller holds mutation_mu_.
+  core::LabelingEngine* RelabelEngine();
 
   std::shared_ptr<const synth::City> base_;
   Options options_;
@@ -379,8 +382,9 @@ class ScenarioStore {
   std::atomic<double> walk_scale_{1.0};
 
   /// Writer-side labeling context over the current network, used only
-  /// under mutation_mu_; rebuilt (and committed together with
-  /// network_city_) whenever the network changes.
+  /// under mutation_mu_; built by the first mutation that relabels (a store
+  /// that is only queried never pays for it) and rebuilt (and committed
+  /// together with network_city_) whenever the network changes.
   std::unique_ptr<router::Router> relabel_router_;
   std::unique_ptr<core::LabelingEngine> relabel_engine_;
 

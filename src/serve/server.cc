@@ -55,6 +55,18 @@ ScenarioStore MakeStore(synth::City&& city, const gtfs::TimeInterval& interval,
   return ScenarioStore(std::move(city), interval, options.scenario);
 }
 
+/// Request validation shared by every entry point: a generalized-cost
+/// request must carry valid GAC weights (non-negative λ, positive value of
+/// time). Exact requests never reach RunSsr's own check, so it happens here.
+util::Status ValidateRequest(const AqRequest& request) {
+  if (request.options.cost == core::CostKind::kGeneralizedCost &&
+      !request.options.gac.Valid()) {
+    return util::Status::InvalidArgument(
+        "invalid GAC weights (negative λ or non-positive value of time)");
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
 
 util::Result<core::AccessQueryResult> AqTicket::Get() {
@@ -393,6 +405,12 @@ AqTicket AqServer::Submit(const AqRequest& request) {
   ticket.promise_ = std::make_shared<AqTicket::Promise>();
   ticket.future_ = ticket.promise_->get_future();
 
+  if (util::Status invalid = ValidateRequest(request); !invalid.ok()) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    ticket.promise_->set_value(std::move(invalid));
+    return ticket;
+  }
+
   if (pool_.PendingTasks() >= options_.max_pending) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     ticket.promise_->set_value(util::Status::ResourceExhausted(
@@ -459,6 +477,16 @@ std::vector<AqTicket> AqServer::SubmitBatch(const AqBatchRequest& batch) {
     ticket.server_ = this;
     ticket.promise_ = std::make_shared<AqTicket::Promise>();
     ticket.future_ = ticket.promise_->get_future();
+  }
+
+  // One invalid member refuses the whole batch, like any admission
+  // decision: the sweep is one request.
+  for (const AqRequest& request : derived) {
+    util::Status invalid = ValidateRequest(request);
+    if (invalid.ok()) continue;
+    failed_.fetch_add(derived.size(), std::memory_order_relaxed);
+    for (AqTicket& ticket : tickets) ticket.promise_->set_value(invalid);
+    return tickets;
   }
 
   // Admission is all-or-nothing: a batch is one burst of work, so either
@@ -557,6 +585,7 @@ util::Result<core::AccessQueryResult> AqServer::QueryUncached(
 
 util::Result<core::AccessQueryResult> AqServer::QueryUncachedOn(
     const Scenario& scenario, const AqRequest& request) {
+  STAQ_RETURN_NOT_OK(ValidateRequest(request));
   auto context = AcquireContext(scenario);
   util::Result<core::AccessQueryResult> result =
       util::Status::Internal("unreachable");

@@ -214,7 +214,9 @@ class AqServer {
 
   // --- query API ---------------------------------------------------------
   /// Asynchronous submission. Never blocks on query work; returns a
-  /// rejected ticket (kResourceExhausted) when the queue is full.
+  /// rejected ticket (kResourceExhausted) when the queue is full, and an
+  /// InvalidArgument ticket for a generalized-cost request with invalid
+  /// GAC weights.
   AqTicket Submit(const AqRequest& request);
 
   /// Synchronous convenience: Submit + Get.
@@ -228,9 +230,10 @@ class AqServer {
   /// inserted into the result cache under its derived single-query key, so
   /// later single submissions are cache hits. Non-exact (SSR) members
   /// share no pass and run as ordinary individual tasks. Admission
-  /// (queue-full rejection, delay-budget shedding) is decided once for the
-  /// whole batch. Batch tickets cannot be cancelled (TryCancel returns
-  /// false): members of a group do not have individual queue slots.
+  /// (invalid GAC weights in any member, queue-full rejection, delay-budget
+  /// shedding) is decided once for the whole batch. Batch tickets cannot
+  /// be cancelled (TryCancel returns false): members of a group do not
+  /// have individual queue slots.
   std::vector<AqTicket> SubmitBatch(const AqBatchRequest& batch);
 
   /// Synchronous convenience: SubmitBatch + Get on every ticket, in batch

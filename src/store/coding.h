@@ -124,6 +124,7 @@ class ByteReader {
     static_assert(std::is_trivially_copyable_v<T>);
     if (count > remaining() / sizeof(T)) return false;
     out->resize(count);
+    if (count == 0) return true;  // memcpy from/to null is UB even for 0 bytes
     std::memcpy(out->data(), cursor_, count * sizeof(T));
     cursor_ += count * sizeof(T);
     return true;

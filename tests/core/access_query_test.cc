@@ -1,7 +1,13 @@
 #include "core/access_query.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "serve/server.h"
+#include "synth/city_builder.h"
+#include "synth/city_spec.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -124,6 +130,51 @@ TEST_F(AccessQueryTest, ClassesPartitionTheCity) {
   // The classification rules guarantee at least "best" and one bad class
   // are non-empty for any non-constant distribution.
   EXPECT_GT(histogram[static_cast<int>(AccessClass::kBest)], 0);
+}
+
+/// The engine is a front door over serve::AqServer: every answer must be
+/// the server's from-scratch reference bit for bit, accounting included.
+TEST(AccessQueryParityTest, QueryBitIdenticalToServerUncachedOnBothFamilies) {
+  for (bool brindale : {true, false}) {
+    SCOPED_TRACE(brindale ? "brindale" : "covely");
+    synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
+                                    : synth::CitySpec::Covely(0.04, 22);
+    auto engine_city = synth::BuildCity(spec);
+    auto server_city = synth::BuildCity(spec);
+    ASSERT_TRUE(engine_city.ok() && server_city.ok());
+    AccessQueryEngine engine(std::move(engine_city).value(),
+                             gtfs::WeekdayAmPeak());
+    serve::AqServer server(std::move(server_city).value(),
+                           gtfs::WeekdayAmPeak());
+
+    AccessQueryOptions exact_gac = FastOptions(/*exact=*/true);
+    exact_gac.cost = CostKind::kGeneralizedCost;
+    const std::vector<std::pair<const char*, AccessQueryOptions>> cases = {
+        {"exact jt", FastOptions(/*exact=*/true)},
+        {"exact gac", exact_gac},
+        {"ssr", FastOptions()},
+    };
+    for (const auto& [name, options] : cases) {
+      SCOPED_TRACE(name);
+      auto library = engine.Query(synth::PoiCategory::kSchool, options);
+      auto golden =
+          server.QueryUncached({synth::PoiCategory::kSchool, options});
+      ASSERT_TRUE(library.ok()) << library.status();
+      ASSERT_TRUE(golden.ok()) << golden.status();
+      const AccessQueryResult& a = library.value();
+      const AccessQueryResult& b = golden.value();
+      EXPECT_EQ(a.mac, b.mac);
+      EXPECT_EQ(a.acsd, b.acsd);
+      EXPECT_EQ(a.classes, b.classes);
+      EXPECT_EQ(a.mean_mac, b.mean_mac);
+      EXPECT_EQ(a.mean_acsd, b.mean_acsd);
+      EXPECT_EQ(a.fairness, b.fairness);
+      EXPECT_EQ(a.population_fairness, b.population_fairness);
+      EXPECT_EQ(a.vulnerable_fairness, b.vulnerable_fairness);
+      EXPECT_EQ(a.spqs, b.spqs);
+      EXPECT_EQ(a.gravity_trips, b.gravity_trips);
+    }
+  }
 }
 
 }  // namespace

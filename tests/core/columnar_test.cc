@@ -1,17 +1,16 @@
 // Golden bit-identity suite for the columnar measure engine
 // (core/columnar.h): every columnar derivation must equal the scalar foil
-// bit for bit — on synthetic journeys, on kernel-backed measure reductions,
-// and end to end through AccessQueryEngine::QueryVector on both city
-// families across seeds and cost kinds.
+// bit for bit — on synthetic journeys, on kernel-backed measure reductions
+// and on the frozen gravity norms. The end-to-end batch cases live with the
+// serve batch tier (tests/serve/batch_query_test.cc).
 #include "core/columnar.h"
 
 #include <gtest/gtest.h>
 
-#include "core/access_query.h"
 #include "core/measures.h"
 #include "core/todam.h"
+#include "synth/city_builder.h"
 #include "synth/city_spec.h"
-#include "testing/test_city.h"
 #include "util/rng.h"
 
 namespace staq::core {
@@ -151,126 +150,6 @@ TEST(ColumnarNormsTest, BitIdenticalOnBothCityFamilies) {
                 StableGravityNormsColumnar(city.value().zones, pois, 3000.0));
     }
   }
-}
-
-AccessQueryOptions ExactOptions(uint64_t seed) {
-  AccessQueryOptions options;
-  options.exact = true;
-  options.gravity.sample_rate_per_hour = 4;
-  options.gravity.keep_scale = 2.0;
-  options.seed = seed;
-  return options;
-}
-
-std::vector<CostMember> SweepMembers() {
-  std::vector<CostMember> members;
-  members.push_back({CostKind::kJourneyTime, {}});
-  members.push_back({CostKind::kGeneralizedCost, {}});
-  router::GacWeights wait_heavy;
-  wait_heavy.lambda_wt = 3.5;
-  wait_heavy.transfer_penalty_s = 300;
-  members.push_back({CostKind::kGeneralizedCost, wait_heavy});
-  return members;
-}
-
-void ExpectSameResult(const AccessQueryResult& a, const AccessQueryResult& b) {
-  EXPECT_EQ(a.mac, b.mac);
-  EXPECT_EQ(a.acsd, b.acsd);
-  EXPECT_EQ(a.classes, b.classes);
-  EXPECT_EQ(a.mean_mac, b.mean_mac);
-  EXPECT_EQ(a.mean_acsd, b.mean_acsd);
-  EXPECT_EQ(a.fairness, b.fairness);
-  EXPECT_EQ(a.population_fairness, b.population_fairness);
-  EXPECT_EQ(a.vulnerable_fairness, b.vulnerable_fairness);
-  EXPECT_EQ(a.spqs, b.spqs);
-  EXPECT_EQ(a.gravity_trips, b.gravity_trips);
-}
-
-TEST(QueryVectorTest, BitIdenticalToSingleQueriesOnBothFamilies) {
-  for (bool brindale : {true, false}) {
-    SCOPED_TRACE(brindale ? "brindale" : "covely");
-    synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
-                                    : synth::CitySpec::Covely(0.04, 22);
-    auto city = synth::BuildCity(spec);
-    ASSERT_TRUE(city.ok());
-    AccessQueryEngine engine(std::move(city).value(), gtfs::WeekdayAmPeak());
-
-    for (uint64_t seed : {1u, 2u}) {
-      SCOPED_TRACE("seed " + std::to_string(seed));
-      VectorQuerySpec vspec;
-      vspec.cost_members = SweepMembers();
-      auto batch = engine.QueryVector(synth::PoiCategory::kSchool,
-                                      ExactOptions(seed), vspec);
-      ASSERT_TRUE(batch.ok()) << batch.status();
-      ASSERT_EQ(batch.value().size(), vspec.cost_members.size());
-      for (size_t m = 0; m < vspec.cost_members.size(); ++m) {
-        SCOPED_TRACE("member " + std::to_string(m));
-        AccessQueryOptions options = ExactOptions(seed);
-        options.cost = vspec.cost_members[m].cost;
-        options.gac = vspec.cost_members[m].gac;
-        auto single = engine.Query(synth::PoiCategory::kSchool, options);
-        ASSERT_TRUE(single.ok());
-        ExpectSameResult(batch.value()[m], single.value());
-      }
-    }
-  }
-}
-
-TEST(QueryVectorTest, ScalarFoilAlsoMatches) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  VectorQuerySpec columnar, foil;
-  columnar.cost_members = foil.cost_members = SweepMembers();
-  foil.use_columnar = false;
-  auto fast = engine.QueryVector(synth::PoiCategory::kHospital,
-                                 ExactOptions(3), columnar);
-  auto slow =
-      engine.QueryVector(synth::PoiCategory::kHospital, ExactOptions(3), foil);
-  ASSERT_TRUE(fast.ok() && slow.ok());
-  ASSERT_EQ(fast.value().size(), slow.value().size());
-  for (size_t m = 0; m < fast.value().size(); ++m) {
-    ExpectSameResult(fast.value()[m], slow.value()[m]);
-  }
-}
-
-TEST(QueryVectorTest, SweepsCategoryAndSeedAxesInDeclaredOrder) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  VectorQuerySpec vspec;
-  vspec.categories = {synth::PoiCategory::kSchool,
-                      synth::PoiCategory::kHospital};
-  vspec.seeds = {2, 5};
-  auto batch =
-      engine.QueryVector(synth::PoiCategory::kSchool, ExactOptions(1), vspec);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch.value().size(), 4u);
-  size_t i = 0;
-  for (synth::PoiCategory cat : vspec.categories) {
-    for (uint64_t seed : vspec.seeds) {
-      auto single = engine.Query(cat, ExactOptions(seed));
-      ASSERT_TRUE(single.ok());
-      ExpectSameResult(batch.value()[i++], single.value());
-    }
-  }
-}
-
-TEST(QueryVectorTest, RejectsSsrTemplates) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  AccessQueryOptions ssr = ExactOptions(1);
-  ssr.exact = false;
-  auto result = engine.QueryVector(synth::PoiCategory::kSchool, ssr, {});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(QueryVectorTest, RejectsInvalidMemberWeights) {
-  AccessQueryEngine engine(testing::TinyCity(), gtfs::WeekdayAmPeak());
-  VectorQuerySpec vspec;
-  router::GacWeights bad;
-  bad.value_of_time = 0.0;
-  vspec.cost_members.push_back({CostKind::kGeneralizedCost, bad});
-  auto result =
-      engine.QueryVector(synth::PoiCategory::kSchool, ExactOptions(1), vspec);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "net/server.h"
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -136,6 +137,17 @@ TEST_F(TcpServerTest, RemoteErrorsCarryTheServersStatus) {
   EXPECT_GE(tcp_->stats().errors, 1u);
 }
 
+TEST_F(TcpServerTest, InvalidGacWeightsAreRejectedOverTheWire) {
+  AqClient client = MustConnect();
+  serve::AqRequest request = FastExactRequest();
+  request.options.cost = core::CostKind::kGeneralizedCost;
+  request.options.gac.lambda_tan = -2.0;
+  auto remote = client.Query(request);
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(server_->stats().exact_state_builds, 0u);
+}
+
 TEST_F(TcpServerTest, VersionMismatchIsRejectedAtHandshake) {
   auto socket = Connect("127.0.0.1", tcp_->port(), 5.0);
   ASSERT_TRUE(socket.ok()) << socket.status();
@@ -209,6 +221,38 @@ TEST_F(TcpServerTest, StopJoinsEverythingAndRefusesNewCalls) {
   auto fresh = AqClient::Connect("127.0.0.1", tcp_->port(), 1.0);
   EXPECT_FALSE(fresh.ok());
   tcp_->Stop();  // idempotent
+}
+
+// Stop() shuts every live connection down while handler threads close
+// their sockets as clients go away. Under TSAN this races unless exactly
+// one side owns the close; without TSAN it still checks that Stop() joins
+// cleanly however the disconnects interleave with it.
+TEST(TcpServerStopTest, ClientsDisconnectingDuringStopIsRaceFree) {
+  serve::AqServer server(testing::TinyCity(), gtfs::WeekdayAmPeak());
+  constexpr int kRounds = 20;
+  constexpr int kClients = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    AqTcpServer tcp(&server, AqTcpServer::Options());
+    ASSERT_TRUE(tcp.Start().ok());
+    std::vector<AqClient> clients;
+    for (int c = 0; c < kClients; ++c) {
+      auto client = AqClient::Connect("127.0.0.1", tcp.port());
+      ASSERT_TRUE(client.ok()) << client.status();
+      clients.push_back(std::move(client).value());
+    }
+    // Half the clients hang up before Stop() starts, the rest while it
+    // runs; the handshake above guarantees every handler is live.
+    for (int c = 0; c < kClients / 2; ++c) clients[c].Close();
+    std::thread disconnector([&clients] {
+      for (size_t c = kClients / 2; c < clients.size(); ++c) {
+        clients[c].Close();
+      }
+    });
+    tcp.Stop();
+    disconnector.join();
+    EXPECT_FALSE(tcp.running());
+  }
 }
 
 }  // namespace

@@ -212,6 +212,24 @@ TEST(WireTest, QueryResultRoundTripsBitIdentically) {
   EXPECT_EQ(decoded.result.gravity_trips, msg.result.gravity_trips);
 }
 
+TEST(WireTest, ZeroZoneQueryResultRoundTrips) {
+  // Empty measure columns decode through the zero-count column path.
+  QueryResultMsg msg;
+  msg.sequence = 4;
+  msg.result.spqs = 7;
+  std::vector<uint8_t> bytes;
+  EncodeQueryResultMsg(msg, &bytes);
+  store::ByteReader in(bytes.data(), bytes.size());
+  QueryResultMsg decoded;
+  ASSERT_TRUE(DecodeQueryResultMsg(&in, &decoded));
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(decoded.sequence, 4u);
+  EXPECT_TRUE(decoded.result.mac.empty());
+  EXPECT_TRUE(decoded.result.acsd.empty());
+  EXPECT_TRUE(decoded.result.classes.empty());
+  EXPECT_EQ(decoded.result.spqs, 7u);
+}
+
 TEST(WireTest, MutateResultRoundTrip) {
   MutateResultMsg msg;
   msg.sequence = 17;

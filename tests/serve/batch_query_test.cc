@@ -1,14 +1,19 @@
 // Batch (vector) query tier of AqServer: SubmitBatch/QueryBatch share one
 // labeling pass per exact (category, seed) group and must stay bit-identical
 // to the single-request path, fill the result cache for every derived
-// single-query key, and degrade into kUnavailable shedding under overload.
+// single-query key, refuse invalid GAC members at admission, and degrade
+// into kUnavailable shedding under overload. The per-member reference is
+// always QueryUncached, on both city families.
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "serve/server.h"
+#include "synth/city_builder.h"
+#include "synth/city_spec.h"
 #include "testing/test_city.h"
 
 namespace staq::serve {
@@ -94,6 +99,54 @@ TEST_F(BatchQueryTest, ExactBatchBitIdenticalToSingleQueriesInBatchOrder) {
     ASSERT_TRUE(golden.ok()) << golden.status();
     ExpectBitIdentical(results[i].value(), golden.value());
   }
+}
+
+TEST_F(BatchQueryTest, AxesExpandCategoryMajorThenSeedThenMember) {
+  AqBatchRequest batch;
+  batch.request = ExactTemplate();
+  batch.categories = {synth::PoiCategory::kSchool,
+                      synth::PoiCategory::kHospital};
+  batch.seeds = {2, 5};
+  batch.cost_members = SweepMembers();
+
+  auto results = server_->QueryBatch(batch);
+  ASSERT_EQ(results.size(), 2u * 2u * 3u);
+  // The declared order, spelled out rather than taken from ExpandBatch.
+  size_t i = 0;
+  for (synth::PoiCategory category : batch.categories) {
+    for (uint64_t seed : batch.seeds) {
+      for (const core::CostMember& member : batch.cost_members) {
+        SCOPED_TRACE("member " + std::to_string(i));
+        AqRequest single = ExactTemplate();
+        single.category = category;
+        single.options.seed = seed;
+        single.options.cost = member.cost;
+        single.options.gac = member.gac;
+        ASSERT_TRUE(results[i].ok()) << results[i].status();
+        auto golden = server_->QueryUncached(single);
+        ASSERT_TRUE(golden.ok()) << golden.status();
+        ExpectBitIdentical(results[i++].value(), golden.value());
+      }
+    }
+  }
+}
+
+TEST_F(BatchQueryTest, InvalidMemberWeightsRefuseTheWholeBatch) {
+  AqBatchRequest batch;
+  batch.request = ExactTemplate();
+  batch.cost_members = SweepMembers();
+  router::GacWeights bad;
+  bad.value_of_time = 0.0;
+  batch.cost_members.push_back({core::CostKind::kGeneralizedCost, bad});
+
+  auto results = server_->QueryBatch(batch);
+  ASSERT_EQ(results.size(), batch.cost_members.size());
+  for (const auto& result : results) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(server_->stats().exact_state_builds, 0u) << "a member ran";
+  EXPECT_EQ(server_->stats().failed, results.size());
 }
 
 TEST_F(BatchQueryTest, EmptyAxesCollapseToTheTemplate) {
@@ -223,6 +276,34 @@ TEST_F(BatchQueryTest, EmptyCategoryFailsEveryMemberCleanly) {
   for (const auto& result : results) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kNotFound);
+  }
+}
+
+TEST(BatchFamilyTest, ExactBatchBitIdenticalToSingleQueriesOnBothFamilies) {
+  for (bool brindale : {true, false}) {
+    SCOPED_TRACE(brindale ? "brindale" : "covely");
+    synth::CitySpec spec = brindale ? synth::CitySpec::Brindale(0.03, 21)
+                                    : synth::CitySpec::Covely(0.04, 22);
+    auto city = synth::BuildCity(spec);
+    ASSERT_TRUE(city.ok());
+    AqServer::Options options;
+    options.num_threads = 2;
+    AqServer server(std::move(city).value(), gtfs::WeekdayAmPeak(), options);
+
+    AqBatchRequest batch;
+    batch.request = ExactTemplate();
+    batch.seeds = {1, 2};
+    batch.cost_members = SweepMembers();
+    std::vector<AqRequest> derived = ExpandBatch(batch);
+    auto results = server.QueryBatch(batch);
+    ASSERT_EQ(results.size(), derived.size());
+    for (size_t i = 0; i < derived.size(); ++i) {
+      SCOPED_TRACE("member " + std::to_string(i));
+      ASSERT_TRUE(results[i].ok()) << results[i].status();
+      auto golden = server.QueryUncached(derived[i]);
+      ASSERT_TRUE(golden.ok()) << golden.status();
+      ExpectBitIdentical(results[i].value(), golden.value());
+    }
   }
 }
 

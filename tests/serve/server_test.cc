@@ -1,6 +1,8 @@
 #include "serve/server.h"
 
 #include <atomic>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,6 +72,33 @@ TEST_F(AqServerTest, ExactQueryMatchesUncachedGolden) {
   ExpectSameAnswer(served.value(), golden.value());
   EXPECT_EQ(served.value().spqs,
             served.value().gravity_trips);  // full build labels every trip
+}
+
+TEST_F(AqServerTest, InvalidGacWeightsAreRejectedAtAdmission) {
+  std::vector<router::GacWeights> invalid(3);
+  invalid[0].lambda_wt = -1.0;
+  invalid[1].value_of_time = 0.0;
+  invalid[2].value_of_time = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < invalid.size(); ++i) {
+    SCOPED_TRACE("weights " + std::to_string(i));
+    AqRequest request = FastExactRequest();
+    request.options.cost = core::CostKind::kGeneralizedCost;
+    request.options.gac = invalid[i];
+    auto served = server_->Query(request);
+    ASSERT_FALSE(served.ok());
+    EXPECT_EQ(served.status().code(), util::StatusCode::kInvalidArgument);
+    auto golden = server_->QueryUncached(request);
+    ASSERT_FALSE(golden.ok());
+    EXPECT_EQ(golden.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.failed, invalid.size());
+  EXPECT_EQ(stats.exact_state_builds, 0u) << "an invalid request ran";
+
+  // Journey-time requests ignore the weights entirely.
+  AqRequest jt = FastExactRequest();
+  jt.options.gac = invalid[1];
+  EXPECT_TRUE(server_->Query(jt).ok());
 }
 
 TEST_F(AqServerTest, SsrQueryMatchesUncachedGolden) {

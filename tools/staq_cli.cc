@@ -60,6 +60,7 @@
 #include "scenario/runner.h"
 #include "serve/request.h"
 #include "serve/scenario.h"
+#include "serve/server.h"
 #include "store/snapshot.h"
 #include "synth/city_builder.h"
 #include "synth/city_io.h"
@@ -334,8 +335,18 @@ int RunQuery(const Args& args) {
     return 1;
   }
 
-  core::AccessQueryEngine engine(std::move(city).value(), interval.value());
-  core::AccessQueryOptions options;
+  // The CLI answers through the same server as every other front end.
+  // --threads sizes both the worker pool (batch groups run in parallel)
+  // and SSR training; answers are bit-identical for every value.
+  const int threads = std::max(1, args.GetInt("threads", 1));
+  serve::AqServer::Options server_options;
+  server_options.num_threads = static_cast<size_t>(threads);
+  server_options.ml_threads = threads;
+  serve::AqServer server(std::move(city).value(), interval.value(),
+                         server_options);
+  serve::AqRequest request;
+  request.category = category.value();
+  core::AccessQueryOptions& options = request.options;
   options.exact = args.Has("exact");
   options.beta = args.GetDouble("beta", 0.05);
   options.model = model.value();
@@ -352,6 +363,7 @@ int RunQuery(const Args& args) {
     // One columnar labeling pass per seed answers the whole jt+gac sweep
     // (journeys do not depend on the cost definition); the per-row SPQ
     // column shows the shared pass every single query would pay in full.
+    // Seeds are independent groups, so --threads runs them in parallel.
     if (!options.exact) {
       std::fprintf(stderr,
                    "query --batch requires --exact: SSR members train "
@@ -366,17 +378,20 @@ int RunQuery(const Args& args) {
     }
     int batch_seeds = args.GetInt("batch-seeds", 2);
     if (batch_seeds < 1) batch_seeds = 1;
-    core::VectorQuerySpec spec;
+    serve::AqBatchRequest spec;
+    spec.request = request;
     for (int i = 0; i < batch_seeds; ++i) {
       spec.seeds.push_back(options.seed + static_cast<uint64_t>(i));
     }
     spec.cost_members.push_back({core::CostKind::kJourneyTime, {}});
     spec.cost_members.push_back(
         {core::CostKind::kGeneralizedCost, options.gac});
-    auto batch = engine.QueryVector(category.value(), options, spec);
-    if (!batch.ok()) {
-      std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
-      return 1;
+    auto batch = server.QueryBatch(spec);
+    for (const auto& row : batch) {
+      if (!row.ok()) {
+        std::fprintf(stderr, "%s\n", row.status().ToString().c_str());
+        return 1;
+      }
     }
     std::printf("poi=%s interval=%s (exact batch: %d seed%s x jt,gac)\n",
                 synth::PoiCategoryName(category.value()),
@@ -387,7 +402,7 @@ int RunQuery(const Args& args) {
     size_t i = 0;
     for (uint64_t seed : spec.seeds) {
       for (const core::CostMember& member : spec.cost_members) {
-        const core::AccessQueryResult& row = batch.value()[i++];
+        const core::AccessQueryResult& row = batch[i++].value();
         std::printf("%-6llu %-5s %10.1f %10.1f %8.3f %10llu\n",
                     static_cast<unsigned long long>(seed),
                     member.cost == core::CostKind::kJourneyTime ? "jt" : "gac",
@@ -398,7 +413,7 @@ int RunQuery(const Args& args) {
     return 0;
   }
 
-  auto result = engine.Query(category.value(), options);
+  auto result = server.Query(request);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -425,8 +440,8 @@ int RunQuery(const Args& args) {
 
   if (args.Has("geojson")) {
     std::string path = args.Get("geojson", "access.geojson");
-    auto pois = engine.city().PoisOf(category.value());
-    if (auto st = core::ExportAccessGeoJson(engine.city(), CliProjection(),
+    auto pois = server.Snapshot()->PoisOf(category.value());
+    if (auto st = core::ExportAccessGeoJson(server.base_city(), CliProjection(),
                                             r, pois, path);
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -440,7 +455,7 @@ int RunQuery(const Args& args) {
     std::string title = util::Format(
         "Access to %s (%s)", synth::PoiCategoryName(category.value()),
         interval.value().label.c_str());
-    if (auto st = core::WriteAccessReport(engine.city(), r, title, path);
+    if (auto st = core::WriteAccessReport(server.base_city(), r, title, path);
         !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
