@@ -7,6 +7,14 @@
 
 namespace staq::core {
 
+void TripCostColumns::Reserve(size_t zones, size_t trips) {
+  zone_offsets.reserve(zone_offsets.size() + zones);
+  flags.reserve(flags.size() + trips);
+  jt.reserve(jt.size() + trips);
+  gac_parts.reserve(gac_parts.size() + trips * kNumGacParts);
+  fare.reserve(fare.size() + trips);
+}
+
 size_t TripCostColumns::AppendZone(size_t trips) {
   size_t base = flags.size();
   zone_offsets.push_back(base + trips);

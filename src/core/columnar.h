@@ -52,6 +52,10 @@ struct TripCostColumns {
   size_t num_trips() const { return flags.size(); }
   size_t num_zones() const { return zone_offsets.size() - 1; }
 
+  /// Reserves room for `zones` zones of `trips` trips in total, so a pass
+  /// of known size appends without reallocating.
+  void Reserve(size_t zones, size_t trips);
+
   /// Opens the next zone's trip range; returns the base index its trips
   /// occupy. Newly opened slots are zeroed (the infeasible encoding).
   size_t AppendZone(size_t trips);

@@ -327,7 +327,7 @@ ZoneLabel LabelingEngine::CaptureZoneCosts(const Todam& todam, uint32_t zone,
                                            gtfs::Day day,
                                            TripCostColumns* columns) {
   capture_ = columns;
-  capture_base_ = columns->AppendZone(todam.TripsFor(zone).size());
+  capture_base_ = columns->zone_offsets[zone];
   ZoneLabel label = LabelZone(todam, zone, pois, CostKind::kJourneyTime, day);
   capture_ = nullptr;
   return label;

@@ -88,11 +88,14 @@ class LabelingEngine {
                                     CostKind kind, gtfs::Day day);
 
   /// Columnar capture hook (core/columnar.h): labels `zone` exactly like
-  /// LabelZone while appending every trip's cost *basis* (JT seconds, the
-  /// five GAC components, fare) to `columns` in original trip order. One
+  /// LabelZone while recording every trip's cost *basis* (JT seconds, the
+  /// five GAC components, fare) into `columns` in original trip order. One
   /// captured pass derives any number of cost definitions bit-identically
   /// — journeys do not depend on the cost kind. Routing mode, SPQ
   /// accounting and the returned label (kJourneyTime) are unchanged.
+  /// `columns` must already hold the zone's trip range (AppendZone for
+  /// every zone in order), so engines on several threads may fill disjoint
+  /// zones of one pass concurrently.
   ZoneLabel CaptureZoneCosts(const Todam& todam, uint32_t zone,
                              const std::vector<synth::Poi>& pois,
                              gtfs::Day day, TripCostColumns* columns);

@@ -86,8 +86,16 @@ struct ServerStats {
   uint64_t cache_evictions = 0;
   uint64_t cache_expired = 0;  // entries aged out by the TTL (see ResultCache)
 
-  /// Exact label states built from scratch (full labeling sweeps).
+  /// Exact label states built from scratch (not patched): label-state
+  /// memo misses, QueryUncached builds, and batch groups that routed their
+  /// own journey pass.
   uint64_t exact_state_builds = 0;
+  /// Journey passes routed into the scenarios' memos (single requests and
+  /// batch groups). The cost twins of one (category, seed) share one.
+  uint64_t journey_passes = 0;
+  /// SSR zone feature matrices extracted into the scenarios' memos (one
+  /// per category and gravity per epoch).
+  uint64_t feature_builds = 0;
 
   uint64_t mutations = 0;
   uint64_t states_patched = 0;    // label states carried across epochs by patching

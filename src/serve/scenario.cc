@@ -1,11 +1,13 @@
 #include "serve/scenario.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/gravity.h"
 #include "router/connections.h"
@@ -67,7 +69,22 @@ std::vector<uint32_t> AllZones(size_t count) {
   return all;
 }
 
+/// The part of a label key that routing depends on: the cost and GAC
+/// weights only post-process journeys.
+LabelKey RoutingKey(LabelKey key) {
+  key.cost = core::CostKind::kJourneyTime;
+  key.gac = router::GacWeights();
+  return key;
+}
+
 }  // namespace
+
+std::vector<core::ZoneLabel> JourneyPass::Labels(
+    const core::CostMember& member) const {
+  std::vector<double> costs;
+  core::MemberCostColumn(columns, member, &costs);
+  return core::AggregateZoneLabels(columns, costs);
+}
 
 OfflineState::OfflineState(const synth::City& city,
                            const gtfs::TimeInterval& interval_in,
@@ -117,8 +134,8 @@ std::vector<synth::Poi> Scenario::PoisOf(synth::PoiCategory category) const {
 std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
     const LabelKey& key, core::LabelingEngine* engine) const {
   // Fault site: a from-scratch state build failing (models OOM / engine
-  // faults). GetOrBuildLabelState must propagate this to current waiters
-  // without poisoning the memo key; see the catch there.
+  // faults). The journey pass build evaluates the same site, so the memo
+  // paths see it too and must propagate it without poisoning their keys.
   STAQ_FAILPOINT("serve.scenario.build_label_state");
   auto state = std::make_shared<ExactLabelState>();
   state->pois = PoisOf(key.category);
@@ -128,82 +145,183 @@ std::shared_ptr<const ExactLabelState> Scenario::BuildLabelState(
       base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
   core::TodamBuilder builder(base_->zones, state->pois, interval(),
                              key.gravity);
-  state->todam = builder.BuildGravityStable(key.seed, state->zone_norm);
+  state->todam = std::make_shared<const core::Todam>(
+      builder.BuildGravityStable(key.seed, state->zone_norm));
 
   engine->set_gac_weights(key.gac);
-  std::vector<uint32_t> all(base_->zones.size());
-  std::iota(all.begin(), all.end(), 0u);
+  std::vector<uint32_t> all = AllZones(base_->zones.size());
   uint64_t spq_before = engine->spq_count();
   state->labels =
-      engine->LabelZones(state->todam, all, state->pois, key.cost,
+      engine->LabelZones(*state->todam, all, state->pois, key.cost,
                          interval().day);
   state->build_spqs = engine->spq_count() - spq_before;
   state->relabeled_zones = static_cast<uint32_t>(all.size());
   return state;
 }
 
-std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
-    const LabelKey& key, core::LabelingEngine* engine,
-    bool* built_fresh) const {
-  if (built_fresh != nullptr) *built_fresh = false;
-  const std::string canonical = key.Canonical();
-  std::promise<std::shared_ptr<const ExactLabelState>> promise;
-  std::shared_future<std::shared_ptr<const ExactLabelState>> future;
-  bool is_builder = false;
-  {
-    std::lock_guard<std::mutex> lock(states_mu_);
-    auto it = states_.find(canonical);
-    if (it != states_.end()) {
-      future = it->second.future;
-    } else {
-      future = promise.get_future().share();
-      states_.emplace(canonical, StateEntry{key, future});
-      is_builder = true;
-    }
-  }
-  if (!is_builder) return future.get();
+struct Scenario::PassWork {
+  PassWork(const core::Todam& todam_in, const std::vector<synth::Poi>& pois_in,
+           gtfs::Day day_in, core::TripCostColumns* columns_in)
+      : todam(todam_in),
+        pois(pois_in),
+        day(day_in),
+        columns(columns_in),
+        num_zones(static_cast<uint32_t>(todam_in.num_zones())) {}
 
-  std::shared_ptr<const ExactLabelState> state;
-  try {
-    state = BuildLabelState(key, engine);
-  } catch (...) {
-    // Unfulfilled promises hang every waiter on the shared future, and a
-    // dead entry would poison the key forever. Drop the entry first (so
-    // MaterializedStates and later callers never see the broken future),
-    // then propagate the failure to current waiters and the caller.
-    {
-      std::lock_guard<std::mutex> lock(states_mu_);
-      states_.erase(canonical);
+  /// Claims and labels zones with `engine` until none is left unclaimed.
+  /// Touches the pass only through claimed zones: a caller that arrives
+  /// after the last claim may run after the pass itself is gone.
+  void Route(core::LabelingEngine* engine) {
+    const uint64_t spq_before = engine->spq_count();
+    uint32_t finished = 0;
+    std::string failure;  // messages, not exception objects, cross threads
+    try {
+      for (uint32_t z = next_zone++; z < num_zones; z = next_zone++) {
+        engine->CaptureZoneCosts(todam, z, pois, day, columns);
+        ++finished;
+      }
+    } catch (const std::exception& e) {
+      failure = e.what();
+      ++finished;  // the claimed zone is settled, as a failure
+    } catch (...) {
+      failure = "unknown exception";
+      ++finished;
     }
-    promise.set_exception(std::current_exception());
+    spqs += engine->spq_count() - spq_before;
+    std::lock_guard<std::mutex> lock(mu);
+    zones_finished += finished;
+    if (!failure.empty() && error.empty()) error = failure;
+    if (zones_finished == num_zones) all_finished.notify_all();
+  }
+
+  /// Blocks until every zone is labelled; throws if any zone failed.
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    all_finished.wait(lock, [this] { return zones_finished == num_zones; });
+    if (!error.empty()) throw std::runtime_error("journey pass: " + error);
+  }
+
+  const core::Todam& todam;
+  const std::vector<synth::Poi>& pois;
+  const gtfs::Day day;
+  // Every zone's slots are open, so concurrent engines write disjoint
+  // elements and never resize.
+  core::TripCostColumns* const columns;
+  const uint32_t num_zones;
+  std::atomic<uint32_t> next_zone{0};
+  std::atomic<uint64_t> spqs{0};
+
+  std::mutex mu;
+  std::condition_variable all_finished;
+  uint32_t zones_finished = 0;  // guarded by mu
+  std::string error;            // guarded by mu; first zone failure
+};
+
+std::shared_ptr<const JourneyPass> Scenario::BuildJourneyPass(
+    const std::string& id, const LabelKey& key,
+    core::LabelingEngine* engine) const {
+  STAQ_FAILPOINT("serve.scenario.build_label_state");
+  auto pass = std::make_shared<JourneyPass>();
+  pass->pois = PoisOf(key.category);
+  // The same TODAM as BuildLabelState (the columnar norms are bit-identical
+  // to the scalar ones).
+  pass->zone_norm = core::StableGravityNormsColumnar(
+      base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
+  core::TodamBuilder builder(base_->zones, pass->pois, interval(),
+                             key.gravity);
+  pass->todam = std::make_shared<const core::Todam>(
+      builder.BuildGravityStable(key.seed, pass->zone_norm));
+  pass->columns.Reserve(pass->todam->num_zones(), pass->todam->num_trips());
+  for (uint32_t z = 0; z < pass->todam->num_zones(); ++z) {
+    pass->columns.AppendZone(pass->todam->TripsFor(z).size());
+  }
+
+  // Zones are labelled by this caller and by any caller that joins the
+  // pass meanwhile. Journeys are exact per zone whichever engine routes
+  // them, and the SPQ count is one per trip, so the pass is the same bits
+  // however the zones were shared out.
+  auto work = std::make_shared<PassWork>(*pass->todam, pass->pois,
+                                         interval().day, &pass->columns);
+  {
+    std::lock_guard<std::mutex> lock(pass_work_mu_);
+    pass_work_[id] = work;
+  }
+  auto unpublish = [&] {
+    std::lock_guard<std::mutex> lock(pass_work_mu_);
+    auto it = pass_work_.find(id);
+    if (it != pass_work_.end() && it->second == work) pass_work_.erase(it);
+  };
+  try {
+    work->Route(engine);
+    work->Wait();
+  } catch (...) {
+    unpublish();
     throw;
   }
-  promise.set_value(state);
-  if (built_fresh != nullptr) *built_fresh = true;
-  return state;
+  unpublish();
+  pass->spqs = work->spqs;
+  return pass;
+}
+
+std::shared_ptr<const JourneyPass> Scenario::GetOrBuildJourneyPass(
+    const LabelKey& key, core::LabelingEngine* engine,
+    bool* built_fresh) const {
+  const LabelKey routing = RoutingKey(key);
+  const std::string id = routing.Canonical();
+  std::shared_ptr<PassWork> work;
+  {
+    std::lock_guard<std::mutex> lock(pass_work_mu_);
+    auto it = pass_work_.find(id);
+    if (it != pass_work_.end()) work = it->second;
+  }
+  if (work != nullptr) work->Route(engine);
+  return passes_.GetOrBuild(
+      id, routing, [&] { return BuildJourneyPass(id, routing, engine); },
+      built_fresh);
+}
+
+std::shared_ptr<const ExactLabelState> Scenario::GetOrBuildLabelState(
+    const LabelKey& key, core::LabelingEngine* engine, bool* built_fresh,
+    bool* pass_built) const {
+  if (pass_built != nullptr) *pass_built = false;
+  return states_.GetOrBuild(
+      key.Canonical(), key,
+      [&] {
+        auto pass = GetOrBuildJourneyPass(key, engine, pass_built);
+        auto state = std::make_shared<ExactLabelState>();
+        state->pois = pass->pois;
+        state->zone_norm = pass->zone_norm;
+        state->todam = pass->todam;
+        state->labels = pass->Labels({key.cost, key.gac});
+        state->build_spqs = pass->spqs;
+        state->relabeled_zones = static_cast<uint32_t>(state->labels.size());
+        return std::shared_ptr<const ExactLabelState>(std::move(state));
+      },
+      built_fresh);
+}
+
+std::shared_ptr<const ml::Matrix> Scenario::GetOrBuildFeatures(
+    const LabelKey& key, const core::Todam& todam, bool* built_fresh) const {
+  LabelKey feature_key = RoutingKey(key);
+  feature_key.seed = 0;  // α, and so every feature, is seed-independent
+  return features_.GetOrBuild(
+      feature_key.Canonical(), feature_key,
+      [&] {
+        return std::make_shared<const ml::Matrix>(
+            offline_->features->ExtractZoneMatrix(PoisOf(key.category),
+                                                  todam.alpha()));
+      },
+      built_fresh);
 }
 
 std::vector<std::pair<LabelKey, std::shared_ptr<const ExactLabelState>>>
 Scenario::MaterializedStates() const {
-  std::vector<std::pair<LabelKey, std::shared_ptr<const ExactLabelState>>> out;
-  std::lock_guard<std::mutex> lock(states_mu_);
-  out.reserve(states_.size());
-  for (const auto& [canonical, entry] : states_) {
-    if (entry.future.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      out.emplace_back(entry.key, entry.future.get());
-    }
-  }
-  return out;
+  return states_.Ready();
 }
 
 void Scenario::SeedLabelState(const LabelKey& key,
                               std::shared_ptr<const ExactLabelState> state) {
-  std::promise<std::shared_ptr<const ExactLabelState>> promise;
-  promise.set_value(std::move(state));
-  std::lock_guard<std::mutex> lock(states_mu_);
-  states_.emplace(key.Canonical(),
-                  StateEntry{key, promise.get_future().share()});
+  states_.Insert(key.Canonical(), key, std::move(state));
 }
 
 ScenarioStore::ScenarioStore(synth::City city,
@@ -304,7 +422,9 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchAdd(
                                 next.interval(), samples, &per_zone[z]);
   }
   std::vector<uint32_t> affected;
-  state->todam.AppendPoiColumn(per_zone, alpha_column, &affected);
+  auto todam = std::make_shared<core::Todam>(*parent.todam);
+  todam->AppendPoiColumn(per_zone, alpha_column, &affected);
+  state->todam = std::move(todam);
 
   // Fault site: relabeling the affected zones failing mid-mutation. Only
   // the un-installed copy is damaged; the store never publishes it.
@@ -312,7 +432,7 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchAdd(
   core::LabelingEngine* engine = RelabelEngine();
   engine->set_gac_weights(key.gac);
   uint64_t spq_before = engine->spq_count();
-  engine->RelabelZones(state->todam, affected, state->pois, key.cost,
+  engine->RelabelZones(*state->todam, affected, state->pois, key.cost,
                        next.interval().day, &state->labels);
   state->build_spqs = engine->spq_count() - spq_before;
   state->relabeled_zones = static_cast<uint32_t>(affected.size());
@@ -340,13 +460,15 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchRemove(
   state->pois.erase(it);
 
   std::vector<uint32_t> affected;
-  state->todam.RemovePoiColumn(index, &affected);
+  auto todam = std::make_shared<core::Todam>(*parent.todam);
+  todam->RemovePoiColumn(index, &affected);
+  state->todam = std::move(todam);
 
   STAQ_FAILPOINT("serve.scenario.relabel");
   core::LabelingEngine* engine = RelabelEngine();
   engine->set_gac_weights(key.gac);
   uint64_t spq_before = engine->spq_count();
-  engine->RelabelZones(state->todam, affected, state->pois, key.cost,
+  engine->RelabelZones(*state->todam, affected, state->pois, key.cost,
                        next.interval().day, &state->labels);
   state->build_spqs = engine->spq_count() - spq_before;
   state->relabeled_zones = static_cast<uint32_t>(affected.size());
@@ -470,7 +592,7 @@ std::shared_ptr<const ExactLabelState> ScenarioStore::PatchNetwork(
   auto state = std::make_shared<ExactLabelState>(parent);
   engine->set_gac_weights(key.gac);
   uint64_t spq_before = engine->spq_count();
-  engine->RelabelZones(state->todam, affected, state->pois, key.cost,
+  engine->RelabelZones(*state->todam, affected, state->pois, key.cost,
                        next.interval().day, &state->labels);
   state->build_spqs = engine->spq_count() - spq_before;
   state->relabeled_zones = static_cast<uint32_t>(affected.size());

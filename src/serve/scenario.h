@@ -23,6 +23,12 @@
 // which the golden tests assert, and a scenario edit costs O(affected
 // zones) SPQs instead of O(all zones).
 //
+// Cold label states route once per (category, gravity, seed). A journey is
+// independent of the access-cost definition, so a memoised JourneyPass —
+// the TODAM plus every routed trip's cost basis — serves the JT state and
+// every GAC state of one seed, and those states share one TODAM. The
+// scalar BuildLabelState stays as the from-scratch oracle.
+//
 // Timetable disruptions (scenario subsystem) extend the same contract to
 // the supply side. SuspendRoute / CloseStop / ScaleHeadway build a
 // disrupted feed through the pure transforms of scenario/transform.h,
@@ -42,7 +48,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/columnar.h"
 #include "core/features.h"
 #include "core/hoptree.h"
 #include "core/isochrone.h"
@@ -58,6 +64,7 @@
 #include "router/router.h"
 #include "scenario/transform.h"
 #include "serve/request.h"
+#include "serve/shared_memo.h"
 #include "synth/city_builder.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -96,7 +103,10 @@ struct ExactLabelState {
   /// category POIs) — shared verbatim by every epoch so keep probabilities
   /// never shift under edits.
   std::vector<double> zone_norm;
-  core::Todam todam;
+  /// Shared by every state derived from one journey pass (the JT and GAC
+  /// states of one seed) and by states a network mutation carries over. A
+  /// POI patch installs its own edited copy.
+  std::shared_ptr<const core::Todam> todam;
   std::vector<core::ZoneLabel> labels;  // indexed by zone
 
   /// SPQs spent producing this state from its predecessor: a full build
@@ -105,6 +115,29 @@ struct ExactLabelState {
   /// Zones labeled in that step (== all zones for a full build).
   uint32_t relabeled_zones = 0;
 };
+
+/// One routing pass over a scenario's (category, gravity, seed): the
+/// edit-stable TODAM and the cost basis of every routed trip. Journeys do
+/// not depend on the cost definition, so JT and every GAC variant of the
+/// key derive their labels from this one pass (core/columnar.h), bit for
+/// bit equal to labeling each cost separately.
+struct JourneyPass {
+  std::vector<synth::Poi> pois;   // as ExactLabelState::pois
+  std::vector<double> zone_norm;  // as ExactLabelState::zone_norm
+  std::shared_ptr<const core::Todam> todam;
+  core::TripCostColumns columns;  // every zone, in zone order
+  uint64_t spqs = 0;              // SPQs the pass routed
+
+  /// The exact labels of one cost definition (MemberCostColumn +
+  /// AggregateZoneLabels).
+  std::vector<core::ZoneLabel> Labels(const core::CostMember& member) const;
+};
+
+/// Journey passes a scenario keeps memoised. A pass is ~7x the size of its
+/// TODAM, and what it saves is the routing of a cost twin that arrives
+/// while (or shortly after) the first cost of a seed is labelled, so only
+/// the most recent few are kept.
+inline constexpr size_t kRetainedJourneyPasses = 8;
 
 /// Router configuration serve runs by default: the Connection Scan engine.
 /// Exact journey times, feasibility, and MAC/ACSD match the
@@ -117,7 +150,8 @@ inline router::RouterOptions DefaultServeRouterOptions() {
 }
 
 /// Immutable scenario snapshot. Thread-safe: all mutable state is the
-/// internal label-state memo, which is guarded and memoised per key.
+/// internal memos (label states, journey passes, SSR features), each
+/// guarded and built once per key.
 class Scenario {
  public:
   Scenario(uint64_t epoch, std::shared_ptr<const synth::City> base,
@@ -158,16 +192,39 @@ class Scenario {
   /// The scenario's POIs of one category, in stable-id order.
   std::vector<synth::Poi> PoisOf(synth::PoiCategory category) const;
 
-  /// Memoised exact label state: the first caller for a key builds it with
-  /// `engine` (and sets *built_fresh when non-null); concurrent callers
+  /// Memoised exact label state: the first caller for a key derives it
+  /// from the key's journey pass (sets *built_fresh when non-null, and
+  /// *pass_built when that pass had to be routed first); concurrent callers
   /// for the same key block until that build is published. `engine` is only
-  /// used by the caller that actually builds.
+  /// used by callers that route zones; every caller's engine must route
+  /// like the scenario's router options, since one pass may mix their
+  /// zones.
   std::shared_ptr<const ExactLabelState> GetOrBuildLabelState(
+      const LabelKey& key, core::LabelingEngine* engine,
+      bool* built_fresh = nullptr, bool* pass_built = nullptr) const;
+
+  /// Memoised journey pass of `key`'s routing part — category, gravity and
+  /// seed; the cost and GAC weights are ignored. Same build-once contract
+  /// as GetOrBuildLabelState: concurrent callers join one pass, and a
+  /// failed pass reaches every waiter and leaves the key unpoisoned. A
+  /// caller that joins a pass still being routed labels unclaimed zones
+  /// with its own `engine` before it waits. The last
+  /// kRetainedJourneyPasses passes are kept.
+  std::shared_ptr<const JourneyPass> GetOrBuildJourneyPass(
       const LabelKey& key, core::LabelingEngine* engine,
       bool* built_fresh = nullptr) const;
 
-  /// From-scratch build, bypassing the memo. This is the golden reference
-  /// the incremental path is checked against (tests, bench gates).
+  /// Memoised SSR zone feature matrix of `key`'s category and gravity.
+  /// Features read the TODAM's α only, and α does not depend on the seed,
+  /// so any `todam` built over this scenario's category POIs with
+  /// key.gravity yields the same matrix; the first caller extracts it.
+  std::shared_ptr<const ml::Matrix> GetOrBuildFeatures(
+      const LabelKey& key, const core::Todam& todam,
+      bool* built_fresh = nullptr) const;
+
+  /// From-scratch build with scalar per-zone labeling, bypassing every
+  /// memo. This is the golden reference the pass-derived and incremental
+  /// paths are checked against (tests, bench gates).
   std::shared_ptr<const ExactLabelState> BuildLabelState(
       const LabelKey& key, core::LabelingEngine* engine) const;
 
@@ -185,10 +242,12 @@ class Scenario {
                       std::shared_ptr<const ExactLabelState> state);
 
  private:
-  struct StateEntry {
-    LabelKey key;
-    std::shared_future<std::shared_ptr<const ExactLabelState>> future;
-  };
+  /// The routing of an in-flight journey pass, open to helpers.
+  struct PassWork;
+
+  std::shared_ptr<const JourneyPass> BuildJourneyPass(
+      const std::string& id, const LabelKey& key,
+      core::LabelingEngine* engine) const;
 
   uint64_t epoch_;
   std::shared_ptr<const synth::City> base_;
@@ -197,8 +256,14 @@ class Scenario {
   uint64_t network_version_ = 0;
   router::RouterOptions router_options_ = DefaultServeRouterOptions();
 
-  mutable std::mutex states_mu_;
-  mutable std::unordered_map<std::string, StateEntry> states_;
+  mutable SharedMemo<LabelKey, ExactLabelState> states_;
+  mutable SharedMemo<LabelKey, JourneyPass> passes_{kRetainedJourneyPasses};
+  /// Passes being routed, by routing-key id: a caller that would only wait
+  /// for one routes some of its zones instead.
+  mutable std::mutex pass_work_mu_;
+  mutable std::unordered_map<std::string, std::shared_ptr<PassWork>>
+      pass_work_;
+  mutable SharedMemo<LabelKey, ml::Matrix> features_;
 };
 
 /// Everything store::LoadSnapshot recovers from disk: the ingredients of a

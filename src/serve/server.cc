@@ -67,6 +67,22 @@ util::Status ValidateRequest(const AqRequest& request) {
   return util::Status::OK();
 }
 
+/// An exact answer's per-zone measures and accounting, before finalising.
+core::AccessQueryResult ResultFromLabels(
+    const std::vector<core::ZoneLabel>& labels, uint64_t gravity_trips,
+    uint64_t spqs) {
+  core::AccessQueryResult result;
+  result.gravity_trips = gravity_trips;
+  result.spqs = spqs;
+  result.mac.resize(labels.size());
+  result.acsd.resize(labels.size());
+  for (size_t z = 0; z < labels.size(); ++z) {
+    result.mac[z] = labels[z].mac;
+    result.acsd[z] = labels[z].acsd;
+  }
+  return result;
+}
+
 }  // namespace
 
 util::Result<core::AccessQueryResult> AqTicket::Get() {
@@ -696,52 +712,28 @@ void AqServer::RunBatchGroup(
       auto context = AcquireContext(*snapshot);
       try {
         const synth::City& city = snapshot->base_city();
-        std::vector<synth::Poi> pois = snapshot->PoisOf(head.category);
-        if (pois.empty()) {
+        if (snapshot->PoisOf(head.category).empty()) {
           fail_remaining(util::Status::NotFound(
                              "no POIs of requested category in scenario"),
                          &failed_);
         } else {
-          // One shared labeling pass for the whole group, mirroring
-          // Scenario::BuildLabelState step for step (edit-stable TODAM
-          // from frozen base-city norms), so every derived answer is
-          // bit-identical to the single-request path. Journeys do not
-          // depend on the cost definition, so the JT capture sweep stands
-          // in for each member's own sweep — including its SPQ count.
-          std::vector<double> zone_norm = core::StableGravityNormsColumnar(
-              city.zones, city.PoisOf(head.category),
-              head.options.gravity.decay_scale_m);
-          core::TodamBuilder builder(city.zones, pois, snapshot->interval(),
-                                     head.options.gravity);
-          core::Todam todam =
-              builder.BuildGravityStable(head.options.seed, zone_norm);
-          const uint64_t spqs_before = context->engine.spq_count();
-          core::TripCostColumns columns;
-          for (uint32_t z = 0; z < city.zones.size(); ++z) {
-            context->engine.CaptureZoneCosts(todam, z, pois,
-                                             snapshot->interval().day,
-                                             &columns);
+          // The group's members differ only in cost, so they share one
+          // journey pass — the scenario's memoised one, which single
+          // requests of the same (category, seed) share too. The pass's
+          // SPQ count stands in for each member's own sweep.
+          bool built = false;
+          auto pass = snapshot->GetOrBuildJourneyPass(
+              LabelKeyFor(head), &context->engine, &built);
+          if (built) {
+            exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
+            journey_passes_.fetch_add(1, std::memory_order_relaxed);
           }
-          const uint64_t pass_spqs =
-              context->engine.spq_count() - spqs_before;
-          exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
 
-          std::vector<double> member_costs;
           for (size_t i : missing) {
-            const core::CostMember member{requests[i].options.cost,
-                                          requests[i].options.gac};
-            core::AccessQueryResult result;
-            result.gravity_trips = todam.num_trips();
-            result.spqs = pass_spqs;
-            core::MemberCostColumn(columns, member, &member_costs);
-            std::vector<core::ZoneLabel> labels =
-                core::AggregateZoneLabels(columns, member_costs);
-            result.mac.resize(labels.size());
-            result.acsd.resize(labels.size());
-            for (size_t z = 0; z < labels.size(); ++z) {
-              result.mac[z] = labels[z].mac;
-              result.acsd[z] = labels[z].acsd;
-            }
+            core::AccessQueryResult result = ResultFromLabels(
+                pass->Labels(
+                    {requests[i].options.cost, requests[i].options.gac}),
+                pass->todam->num_trips(), pass->spqs);
             core::FinalizeAccessQueryResultColumnar(city.zones, &result);
             result.elapsed_s = watch.ElapsedSeconds();
             try {
@@ -794,21 +786,19 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     LabelKey key = LabelKeyFor(request);
     std::shared_ptr<const ExactLabelState> state;
     if (use_caches) {
-      bool built = false;
-      state = scenario.GetOrBuildLabelState(key, &context->engine, &built);
+      bool built = false, pass_built = false;
+      state = scenario.GetOrBuildLabelState(key, &context->engine, &built,
+                                            &pass_built);
       if (built) exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
+      if (pass_built) {
+        journey_passes_.fetch_add(1, std::memory_order_relaxed);
+      }
     } else {
       state = scenario.BuildLabelState(key, &context->engine);
       exact_state_builds_.fetch_add(1, std::memory_order_relaxed);
     }
-    result.gravity_trips = state->todam.num_trips();
-    result.spqs = state->build_spqs;
-    result.mac.resize(state->labels.size());
-    result.acsd.resize(state->labels.size());
-    for (size_t z = 0; z < state->labels.size(); ++z) {
-      result.mac[z] = state->labels[z].mac;
-      result.acsd[z] = state->labels[z].acsd;
-    }
+    result = ResultFromLabels(state->labels, state->todam->num_trips(),
+                              state->build_spqs);
   } else {
     // SSR path: the TODAM uses the same edit-stable construction as the
     // exact path, so SSR answers are deterministic functions of the
@@ -831,9 +821,18 @@ util::Result<core::AccessQueryResult> AqServer::Execute(
     // Training parallelism is a server tuning knob, not part of the query
     // (results are bit-identical for any value, so it is not cache-keyed).
     config.ml_threads = options_.ml_threads;
+    // Features depend on the category and gravity only, so the scenario
+    // extracts them once; the uncached reference extracts its own.
+    std::shared_ptr<const ml::Matrix> features;
+    if (use_caches) {
+      bool built = false;
+      features = scenario.GetOrBuildFeatures(LabelKeyFor(request), todam,
+                                             &built);
+      if (built) feature_builds_.fetch_add(1, std::memory_order_relaxed);
+    }
     auto run = core::RunSsr(city, *scenario.offline().features,
                             &context->router, pois, todam,
-                            scenario.interval().day, config);
+                            scenario.interval().day, config, features.get());
     if (!run.ok()) return run.status();
     result.mac = std::move(run.value().mac);
     result.acsd = std::move(run.value().acsd);
@@ -871,6 +870,8 @@ ServerStats AqServer::stats() const {
   stats.cache_expired = cache_.expired();
   stats.exact_state_builds =
       exact_state_builds_.load(std::memory_order_relaxed);
+  stats.journey_passes = journey_passes_.load(std::memory_order_relaxed);
+  stats.feature_builds = feature_builds_.load(std::memory_order_relaxed);
   stats.mutations = mutations_.load(std::memory_order_relaxed);
   stats.states_patched = states_patched_.load(std::memory_order_relaxed);
   stats.zones_relabeled = zones_relabeled_.load(std::memory_order_relaxed);

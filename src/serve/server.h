@@ -15,7 +15,9 @@
 //   * Caching: results are memoised in a sharded LRU keyed by (epoch,
 //     canonical request), and exact label states are memoised per scenario,
 //     so repeated analytical queries against a stable scenario cost one
-//     cache probe.
+//     cache probe. Cold exact requests route once per (category, seed):
+//     the cost twins of a seed derive their labels from one journey pass,
+//     and SSR requests reuse the scenario's zone features.
 //
 // QueryUncached() recomputes from scratch, bypassing every cache — it is
 // the golden reference that tests and the serve bench compare cached and
@@ -224,11 +226,11 @@ class AqServer {
 
   /// Vector submission: expands the batch (see ExpandBatch for the order)
   /// and returns one ticket per derived request. Exact members of one
-  /// (category, seed) group run as ONE worker task sharing a single
-  /// labeling pass — each member's answer is derived columnarly,
-  /// bit-identical to the single-request path — and every answer is
-  /// inserted into the result cache under its derived single-query key, so
-  /// later single submissions are cache hits. Non-exact (SSR) members
+  /// (category, seed) group run as ONE worker task sharing the scenario's
+  /// journey pass for that group — each member's answer is derived
+  /// columnarly, bit-identical to the single-request path — and every
+  /// answer is inserted into the result cache under its derived
+  /// single-query key, so later single submissions are cache hits. Non-exact (SSR) members
   /// share no pass and run as ordinary individual tasks. Admission
   /// (invalid GAC weights in any member, queue-full rejection, delay-budget
   /// shedding) is decided once for the whole batch. Batch tickets cannot
@@ -299,8 +301,8 @@ class AqServer {
                   util::Clock::TimePoint submitted_at,
                   std::shared_ptr<const Scenario> snapshot,
                   const std::shared_ptr<AqTicket::Promise>& promise);
-  /// Worker body of one exact (category, seed) batch group: one shared
-  /// labeling pass, then per-member columnar derivation, cache fill, and
+  /// Worker body of one exact (category, seed) batch group: the group's
+  /// journey pass, then per-member columnar derivation, cache fill, and
   /// promise fulfilment. `requests` and `promises` are parallel arrays.
   void RunBatchGroup(const std::vector<AqRequest>& requests,
                      util::Clock::TimePoint submitted_at,
@@ -342,6 +344,8 @@ class AqServer {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> exact_state_builds_{0};
+  std::atomic<uint64_t> journey_passes_{0};
+  std::atomic<uint64_t> feature_builds_{0};
   std::atomic<uint64_t> mutations_{0};
   std::atomic<uint64_t> states_patched_{0};
   std::atomic<uint64_t> zones_relabeled_{0};

@@ -991,9 +991,11 @@ util::Result<serve::RestoredScenario> LoadSnapshotImpl(
     const std::string todam_name = LabelSection(i, "todam");
     auto todam_in = reader.Section(todam_name, SectionEncoding::kDelta);
     if (!todam_in.ok()) return todam_in.status();
+    auto todam = std::make_shared<core::Todam>();
     st = DecodeTodam(todam_in.value(), todam_name, num_zones,
-                     state->pois.size(), &state->todam);
+                     state->pois.size(), todam.get());
     if (!st.ok()) return st;
+    state->todam = std::move(todam);
 
     restored.label_states.emplace_back(key, std::move(state));
   }
@@ -1071,7 +1073,7 @@ util::Status SaveSnapshotImpl(const serve::Scenario& scenario,
     add(LabelSection(i, "labels"), SectionEncoding::kStruct,
         EncodeLabels(state.labels), state.labels.size());
     add(LabelSection(i, "todam"), SectionEncoding::kDelta,
-        EncodeTodam(state.todam), state.todam.num_trips());
+        EncodeTodam(*state.todam), state.todam->num_trips());
   }
   if (!st.ok()) return st;
   return writer.Finish();

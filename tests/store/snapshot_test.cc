@@ -85,16 +85,16 @@ void ExpectSameState(const serve::ExactLabelState& a,
     EXPECT_EQ(Bits(a.pois[i].position.y), Bits(b.pois[i].position.y));
   }
   ExpectBitIdenticalDoubles(a.zone_norm, b.zone_norm, "zone_norm");
-  ASSERT_EQ(a.todam.num_zones(), b.todam.num_zones());
-  EXPECT_EQ(a.todam.num_trips(), b.todam.num_trips());
-  for (size_t z = 0; z < a.todam.num_zones(); ++z) {
-    EXPECT_EQ(a.todam.TripsFor(static_cast<uint32_t>(z)),
-              b.todam.TripsFor(static_cast<uint32_t>(z)))
+  ASSERT_EQ(a.todam->num_zones(), b.todam->num_zones());
+  EXPECT_EQ(a.todam->num_trips(), b.todam->num_trips());
+  for (size_t z = 0; z < a.todam->num_zones(); ++z) {
+    EXPECT_EQ(a.todam->TripsFor(static_cast<uint32_t>(z)),
+              b.todam->TripsFor(static_cast<uint32_t>(z)))
         << "zone " << z;
   }
-  ASSERT_EQ(a.todam.alpha().size(), b.todam.alpha().size());
-  for (size_t z = 0; z < a.todam.alpha().size(); ++z) {
-    ExpectBitIdenticalDoubles(a.todam.alpha()[z], b.todam.alpha()[z], "alpha");
+  ASSERT_EQ(a.todam->alpha().size(), b.todam->alpha().size());
+  for (size_t z = 0; z < a.todam->alpha().size(); ++z) {
+    ExpectBitIdenticalDoubles(a.todam->alpha()[z], b.todam->alpha()[z], "alpha");
   }
   ASSERT_EQ(a.labels.size(), b.labels.size());
   for (size_t z = 0; z < a.labels.size(); ++z) {

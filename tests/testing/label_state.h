@@ -17,15 +17,15 @@ inline void ExpectStatesIdentical(const serve::ExactLabelState& patched,
   for (size_t p = 0; p < fresh.pois.size(); ++p) {
     EXPECT_EQ(patched.pois[p].id, fresh.pois[p].id);
   }
-  ASSERT_EQ(patched.todam.num_zones(), fresh.todam.num_zones());
-  EXPECT_EQ(patched.todam.num_trips(), fresh.todam.num_trips());
-  for (uint32_t z = 0; z < fresh.todam.num_zones(); ++z) {
-    EXPECT_EQ(patched.todam.TripsFor(z), fresh.todam.TripsFor(z))
+  ASSERT_EQ(patched.todam->num_zones(), fresh.todam->num_zones());
+  EXPECT_EQ(patched.todam->num_trips(), fresh.todam->num_trips());
+  for (uint32_t z = 0; z < fresh.todam->num_zones(); ++z) {
+    EXPECT_EQ(patched.todam->TripsFor(z), fresh.todam->TripsFor(z))
         << "trip sequence differs in zone " << z;
   }
-  ASSERT_EQ(patched.todam.alpha().size(), fresh.todam.alpha().size());
-  for (size_t z = 0; z < fresh.todam.alpha().size(); ++z) {
-    EXPECT_EQ(patched.todam.alpha()[z], fresh.todam.alpha()[z])
+  ASSERT_EQ(patched.todam->alpha().size(), fresh.todam->alpha().size());
+  for (size_t z = 0; z < fresh.todam->alpha().size(); ++z) {
+    EXPECT_EQ(patched.todam->alpha()[z], fresh.todam->alpha()[z])
         << "alpha row differs in zone " << z;
   }
   ASSERT_EQ(patched.labels.size(), fresh.labels.size());
