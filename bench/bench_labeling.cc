@@ -1,4 +1,4 @@
-// Zone-labeling throughput: per-trip vs batched SPQ execution.
+// Zone-labeling throughput: per-trip label-correcting vs CSA window scans.
 //
 // Labeling is the dominant cost of the whole solution (paper §IV-E), so
 // this bench measures exactly that hot path in three result-identical
@@ -6,15 +6,13 @@
 //   per-trip (seed)     — one Route per TODAM trip on the original engine:
 //                         binary heap, full-window boarding scans, unbounded
 //                         relaxation (the speedup baseline)
-//   per-trip+pruning    — one Route per trip with the optimized search
+//   per-trip+pruning    — one Route per trip on the label-correcting oracle
 //                         (bucket queue, route-break scans, bound-aware
 //                         pruning)
-//   batched             — RouteMany per departure group on the optimized
-//                         search + cached access stops
 //   csa profile         — ONE window scan per zone: every departure group
 //                         is a lane of the same connection sweep (the
-//                         production configuration)
-// plus the thread-pooled variants of the batched and profile engines.
+//                         default engine)
+// plus the thread-pooled variant of the profile engine.
 // Labels are checked bit-identical across configurations before any number
 // is reported, and the binary exits non-zero unless the CSA profile engine
 // clears the speedup floor over the seed baseline — the regression gate
@@ -105,7 +103,7 @@ bool BestOf(Run&& run, ModeResult* best) {
 }  // namespace
 
 exp::RunResult RunLabelingBench() {
-  PrintHeader("Zone-labeling throughput: per-trip vs batched SPQ engine");
+  PrintHeader("Zone-labeling throughput: per-trip vs CSA window scans");
 
   BenchCity bc =
       MakeBenchCity(synth::CitySpec::Brindale(BenchScale(), BenchSeed()));
@@ -129,13 +127,11 @@ exp::RunResult RunLabelingBench() {
   std::printf("  connection array: %zu connections, built in %.3fs\n",
               connections->num_connections(), connections->build_seconds());
   router::RouterOptions csa_opts;
-  csa_opts.engine = router::RoutingEngine::kCsa;
   csa_opts.connections = connections;
 
-  auto run_serial = [&](const char* name, router::RouterOptions opts,
-                        core::LabelingMode mode) {
+  auto run_serial = [&](const char* name, router::RouterOptions opts) {
     router::Router router(&city.feed, opts);
-    core::LabelingEngine engine(&city, &router, {}, mode);
+    core::LabelingEngine engine(&city, &router);
     ModeResult r;
     r.name = name;
     r.engine = opts.engine == router::RoutingEngine::kCsa ? "csa"
@@ -150,9 +146,12 @@ exp::RunResult RunLabelingBench() {
     return r;
   };
 
-  // The baseline runs the original engine: binary heap, full-window
-  // boarding scans, unbounded relaxation.
-  router::RouterOptions seed_opts;
+  // The per-trip modes run the label-correcting oracle; the baseline runs
+  // its original search: binary heap, full-window boarding scans,
+  // unbounded relaxation.
+  router::RouterOptions oracle_opts;
+  oracle_opts.engine = router::RoutingEngine::kLabelCorrecting;
+  router::RouterOptions seed_opts = oracle_opts;
   seed_opts.bounded_relaxation = false;
   seed_opts.boarding_route_break = false;
   seed_opts.bucket_queue = false;
@@ -164,42 +163,24 @@ exp::RunResult RunLabelingBench() {
     repeatable = BestOf(run, &best) && repeatable;
     results.push_back(std::move(best));
   };
-  timed([&] {
-    return run_serial("per-trip (seed)", seed_opts,
-                      core::LabelingMode::kPerTrip);
-  });
-  timed([&] {
-    return run_serial("per-trip+pruning", {}, core::LabelingMode::kPerTrip);
-  });
-  timed([&] {
-    return run_serial("batched", {}, core::LabelingMode::kBatched);
-  });
-  timed([&] {
-    return run_serial("csa profile", csa_opts, core::LabelingMode::kProfile);
-  });
+  timed([&] { return run_serial("per-trip (seed)", seed_opts); });
+  timed([&] { return run_serial("per-trip+pruning", oracle_opts); });
+  timed([&] { return run_serial("csa profile", csa_opts); });
 
   int threads = Params().threads > 0
                     ? Params().threads
                     : static_cast<int>(
                           std::max(1u, std::thread::hardware_concurrency()));
-  auto run_pooled = [&](const std::string& name, router::RouterOptions opts,
-                        core::LabelingMode mode) {
+  timed([&] {
     ModeResult r;
-    r.name = name + "+pool(" + std::to_string(threads) + ")";
-    r.engine = opts.engine == router::RoutingEngine::kCsa ? "csa"
-                                                          : "label_correcting";
+    r.name = "csa profile+pool(" + std::to_string(threads) + ")";
+    r.engine = "csa";
     util::Stopwatch watch;
     r.labels = core::LabelZonesParallel(
         city, todam, zones, pois, core::CostKind::kJourneyTime,
-        gtfs::Day::kTuesday, threads, opts, {}, &r.spqs, mode);
+        gtfs::Day::kTuesday, threads, csa_opts, {}, &r.spqs);
     r.seconds = watch.ElapsedSeconds();
     return r;
-  };
-  timed([&] {
-    return run_pooled("batched", {}, core::LabelingMode::kBatched);
-  });
-  timed([&] {
-    return run_pooled("csa profile", csa_opts, core::LabelingMode::kProfile);
   });
 
   // Equivalence gate: a throughput number for a mode that changes results

@@ -12,12 +12,22 @@
 namespace staq::bench {
 namespace {
 
+/// Single SPQs run on the label-correcting engine: one search settles only
+/// what its target needs, while a CSA Route scans the day's connections and
+/// pays off only when a zone's departures share one window scan (measured
+/// by bench_labeling).
+router::RouterOptions SingleSpqOptions() {
+  router::RouterOptions options;
+  options.engine = router::RoutingEngine::kLabelCorrecting;
+  return options;
+}
+
 /// Shared fixtures: building a city per benchmark iteration would swamp
 /// the timings, so cities and routers are constructed once.
 struct RouterFixture {
   explicit RouterFixture(synth::CitySpec spec)
       : city(std::move(synth::BuildCity(spec)).value()),
-        router(&city.feed, router::RouterOptions{}) {}
+        router(&city.feed, SingleSpqOptions()) {}
 
   synth::City city;
   router::Router router;

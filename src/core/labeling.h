@@ -8,14 +8,17 @@
 // the whole solution and is proportional to β — the scalability lever of
 // §IV-E.
 //
-// Two execution strategies produce bit-identical labels:
-//  * kPerTrip issues one Router::Route call per TODAM trip (the original
-//    formulation, kept as the equivalence baseline);
-//  * kBatched groups a zone's trips by departure time and answers each
-//    group with one Router::RouteMany expansion, deduplicating repeated
-//    POIs within a group and reusing the zone's access-stop lookup across
-//    all groups. Costs are still accumulated in original trip order, so
-//    the floating-point aggregates match the per-trip path exactly.
+// The bound Router's engine picks one of exactly two routing paths:
+//  * RoutingEngine::kCsa (the default): ONE CsaEngine::RouteWindow per
+//    zone. Every departure group of the zone's trips is a lane of a single
+//    connection sweep; repeated POIs are deduplicated zone-wide and per
+//    lane, and the zone's access stops come from a per-zone cache.
+//  * RoutingEngine::kLabelCorrecting: one Router::Route per TODAM trip —
+//    the oracle the window scan is checked against.
+// Both paths record every trip's cost at its original index and aggregate
+// in original trip order, so JT labels are bit-identical across engines.
+// GAC labels are bit-identical within an engine; across engines an
+// equal-time journey may decompose into different legs (router/csa.h).
 #pragma once
 
 #include <cstdint>
@@ -36,22 +39,6 @@ enum class CostKind {
 
 const char* CostKindName(CostKind kind);
 
-/// How the engine dispatches a zone's SPQs to the router. All modes give
-/// bit-identical ZoneLabels; kBatched shares one expansion per departure
-/// group, kProfile shares ONE connection-scan sweep across every departure
-/// group of the zone.
-enum class LabelingMode {
-  kBatched,
-  kPerTrip,
-  /// One CsaEngine::RouteWindow per zone: every departure group becomes a
-  /// lane of a single profile scan. Requires the bound Router to run
-  /// RoutingEngine::kCsa (checked at labeling time).
-  kProfile,
-  /// Resolves per call: kProfile when the bound Router has a CSA engine,
-  /// kBatched otherwise. The default for the parallel pipeline and serve.
-  kAuto,
-};
-
 /// Zone-level label: the access measures of §III-D restricted to one zone.
 struct ZoneLabel {
   double mac = 0.0;   // mean access cost
@@ -67,12 +54,11 @@ struct TripCostColumns;  // core/columnar.h
 /// engine per thread.
 class LabelingEngine {
  public:
-  /// `city` and `router` must outlive the engine. The default kAuto mode
-  /// follows the router's engine: window scans when it runs CSA, batched
-  /// expansions otherwise.
+  /// `city` and `router` must outlive the engine. The router's engine
+  /// decides how zones are routed: window scans under CSA, one Route per
+  /// trip under the label-correcting oracle.
   LabelingEngine(const synth::City* city, router::Router* router,
-                 router::GacWeights gac_weights = {},
-                 LabelingMode mode = LabelingMode::kAuto);
+                 router::GacWeights gac_weights = {});
 
   /// Labels one zone: resolves every trip of `zone` in `todam` against the
   /// given POI set and aggregates `kind` costs. Infeasible trips are
@@ -91,7 +77,7 @@ class LabelingEngine {
   /// LabelZone while recording every trip's cost *basis* (JT seconds, the
   /// five GAC components, fare) into `columns` in original trip order. One
   /// captured pass derives any number of cost definitions bit-identically
-  /// — journeys do not depend on the cost kind. Routing mode, SPQ
+  /// — journeys do not depend on the cost kind. Routing path, SPQ
   /// accounting and the returned label (kJourneyTime) are unchanged.
   /// `columns` must already hold the zone's trip range (AppendZone for
   /// every zone in order), so engines on several threads may fill disjoint
@@ -125,30 +111,30 @@ class LabelingEngine {
   void set_gac_weights(router::GacWeights weights) { gac_weights_ = weights; }
 
   /// Total SPQs answered since construction (for cost accounting). One per
-  /// TODAM trip regardless of mode — batching changes how queries are
+  /// TODAM trip on either engine — the window scan changes how queries are
   /// executed, not how many are asked.
   uint64_t spq_count() const { return spq_count_; }
 
-  /// Router expansions actually dispatched. Equals spq_count() in kPerTrip
-  /// mode; in kBatched mode each departure group costs one expansion; in
-  /// kProfile mode each zone costs one window scan.
+  /// Router expansions actually dispatched: one per trip on the oracle,
+  /// one window scan per non-empty zone under CSA.
   uint64_t expansion_count() const { return expansion_count_; }
 
  private:
-  ZoneLabel LabelZonePerTrip(const Todam& todam, uint32_t zone,
-                             const std::vector<synth::Poi>& pois,
-                             CostKind kind, gtfs::Day day);
-  ZoneLabel LabelZoneBatched(const Todam& todam, uint32_t zone,
-                             const std::vector<synth::Poi>& pois,
-                             CostKind kind, gtfs::Day day);
-  ZoneLabel LabelZoneProfile(const Todam& todam, uint32_t zone,
-                             const std::vector<synth::Poi>& pois,
-                             CostKind kind, gtfs::Day day);
+  /// The CSA path: routes every trip of a non-empty zone with one window
+  /// scan and records each journey through RecordTrip.
+  void RouteWindow(const std::vector<TripEntry>& trips, uint32_t zone,
+                   const std::vector<synth::Poi>& pois, CostKind kind,
+                   gtfs::Day day);
+  /// Captures `journey` when a capture sink is set and stores its cost and
+  /// feasibility flags at original trip index `idx`.
+  void RecordTrip(size_t idx, const router::Journey& journey, CostKind kind);
+  /// Aggregates the first `num_trips` recorded trips in original trip
+  /// order — the one accumulation sequence both routing paths share.
+  ZoneLabel AggregateTrips(size_t num_trips) const;
 
   const synth::City* city_;
   router::Router* router_;
   router::GacWeights gac_weights_;
-  LabelingMode mode_;
   uint64_t spq_count_ = 0;
   uint64_t expansion_count_ = 0;
 
@@ -158,35 +144,35 @@ class LabelingEngine {
   TripCostColumns* capture_ = nullptr;
   size_t capture_base_ = 0;
 
-  /// The zone's access stops, from the per-zone cache when warm. Batched
-  /// mode only; the serve hot path relabels the same zones over and over,
-  /// which makes the walk-table lookup worth caching across calls.
+  /// The zone's access stops, from the per-zone cache when warm. The serve
+  /// hot path relabels the same zones over and over, which makes the
+  /// walk-table lookup worth caching across window scans.
   const std::vector<router::WalkHop>& CachedAccessStops(uint32_t zone);
 
-  // Per-zone AccessStops cache (batched mode). zone_access_valid_[z] gates
-  // zone_access_[z]; InvalidateAccessStopCache / SetRouter reset it.
+  // Per-zone AccessStops cache. zone_access_valid_[z] gates zone_access_[z];
+  // InvalidateAccessStopCache / SetRouter reset it.
   std::vector<std::vector<router::WalkHop>> zone_access_;
   std::vector<uint8_t> zone_access_valid_;
-
-  // Batched-mode scratch (capacity persists across zones).
-  std::vector<uint32_t> order_;          // trip indices sorted by departure
-  std::vector<uint64_t> poi_stamp_;      // per-POI: last group it appeared in
-  std::vector<uint32_t> poi_slot_;       // per-POI: its slot in that group
-  uint64_t group_stamp_ = 0;
-  std::vector<geo::Point> group_points_;        // deduped targets of a group
-  std::vector<router::Journey> group_journeys_;
-  std::vector<uint32_t> group_slots_;    // slot per grouped trip
-  std::vector<double> trip_cost_;        // per original trip index
-  std::vector<uint8_t> trip_flags_;      // bit0 feasible, bit1 walk-only
   std::vector<geo::Neighbor> neighbor_scratch_;
 
-  // Profile-mode scratch: the zone's POIs deduplicated once across every
-  // departure group (poi_zone_* stamps, like the per-group poi_* pair), one
-  // WindowLane per group, and the lanes' target/journey lists stored flat
-  // so lane pointers index into two shared arrays.
+  // Per original trip index, filled by either routing path (capacity
+  // persists across zones).
+  std::vector<double> trip_cost_;
+  std::vector<uint8_t> trip_flags_;  // bit0 feasible, bit1 walk-only
+
+  // Window-scan scratch: trips sorted by departure, the zone's POIs
+  // deduplicated zone-wide (poi_zone_* stamps) and per departure group
+  // (poi_* stamps), one WindowLane per group, and the lanes'
+  // target/journey lists stored flat so lane pointers index into two
+  // shared arrays.
+  std::vector<uint32_t> order_;
+  std::vector<uint64_t> poi_stamp_;  // per-POI: last group it appeared in
+  std::vector<uint32_t> poi_slot_;   // per-POI: its slot in that group
+  uint64_t group_stamp_ = 0;
   std::vector<uint64_t> poi_zone_stamp_;
   std::vector<uint32_t> poi_zone_slot_;
   uint64_t zone_stamp_ = 0;
+  std::vector<uint32_t> group_slots_;           // flat journey slot per trip
   std::vector<geo::Point> unique_points_;       // zone-unique POI positions
   std::vector<uint32_t> profile_members_;       // per-lane unique-target ids
   std::vector<router::Journey> profile_journeys_;

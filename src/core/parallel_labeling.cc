@@ -14,7 +14,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,
     CostKind kind, gtfs::Day day, int num_threads,
     const router::RouterOptions& router_options,
-    router::GacWeights gac_weights, uint64_t* total_spqs, LabelingMode mode) {
+    router::GacWeights gac_weights, uint64_t* total_spqs) {
   // Build (or adopt) the connection array once, outside the workers: each
   // per-worker Router then shares the immutable array instead of rebuilding
   // it num_threads times.
@@ -27,7 +27,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
 
   if (num_threads <= 1 || zones.size() <= 1) {
     router::Router router(&city.feed, router_options_shared);
-    LabelingEngine engine(&city, &router, gac_weights, mode);
+    LabelingEngine engine(&city, &router, gac_weights);
     auto labels = engine.LabelZones(todam, zones, pois, kind, day);
     if (total_spqs != nullptr) *total_spqs = engine.spq_count();
     return labels;
@@ -42,7 +42,7 @@ std::vector<ZoneLabel> LabelZonesParallel(
   auto work = [&]() {
     // Per-worker router: scratch space is instance-local.
     router::Router router(&city.feed, router_options_shared);
-    LabelingEngine engine(&city, &router, gac_weights, mode);
+    LabelingEngine engine(&city, &router, gac_weights);
     while (true) {
       size_t i = next_index.fetch_add(1);
       if (i >= zones.size()) break;

@@ -23,15 +23,14 @@ namespace staq::core {
 /// to the serial LabelingEngine. Results match LabelZones exactly.
 /// `total_spqs` (optional) receives the SPQ count across workers.
 ///
-/// With RoutingEngine::kCsa the connection array is built (or taken from
-/// router_options.connections) ONCE and shared read-only by every worker's
-/// Router; the default kAuto mode then labels via window scans.
+/// With RoutingEngine::kCsa (the default) the connection array is built
+/// (or taken from router_options.connections) ONCE and shared read-only by
+/// every worker's Router, and each zone is one window scan.
 std::vector<ZoneLabel> LabelZonesParallel(
     const synth::City& city, const Todam& todam,
     const std::vector<uint32_t>& zones, const std::vector<synth::Poi>& pois,
     CostKind kind, gtfs::Day day, int num_threads,
     const router::RouterOptions& router_options = {},
-    router::GacWeights gac_weights = {}, uint64_t* total_spqs = nullptr,
-    LabelingMode mode = LabelingMode::kAuto);
+    router::GacWeights gac_weights = {}, uint64_t* total_spqs = nullptr);
 
 }  // namespace staq::core

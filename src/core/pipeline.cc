@@ -130,17 +130,10 @@ util::Result<PipelineResult> RunSsr(
 
   // --- labeling (SPQs) -----------------------------------------------------
   watch.Reset();
-  std::vector<ZoneLabel> labels;
-  if (config.labeling_threads > 1) {
-    labels = LabelZonesParallel(city, todam, result.labeled, pois,
-                                config.cost, day, config.labeling_threads,
-                                /*router_options=*/{}, config.gac,
-                                &result.spqs);
-  } else {
-    LabelingEngine labeler(&city, router, config.gac);
-    labels = labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
-    result.spqs = labeler.spq_count();
-  }
+  LabelingEngine labeler(&city, router, config.gac);
+  std::vector<ZoneLabel> labels =
+      labeler.LabelZones(todam, result.labeled, pois, config.cost, day);
+  result.spqs = labeler.spq_count();
   result.timings.labeling_s = watch.ElapsedSeconds();
 
   std::vector<double> mac_labels(labels.size()), acsd_labels(labels.size());
@@ -200,7 +193,7 @@ GroundTruth SsrPipeline::ComputeGroundTruth(
   std::vector<ZoneLabel> labels;
   if (num_threads > 1) {
     labels = LabelZonesParallel(*city_, todam, all, pois, cost, interval_.day,
-                                num_threads, /*router_options=*/{}, gac,
+                                num_threads, router_->options(), gac,
                                 &truth.spqs);
   } else {
     LabelingEngine labeler(city_, router_.get(), gac);

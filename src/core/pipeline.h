@@ -32,8 +32,6 @@ struct PipelineConfig {
   /// How the labeled set L is chosen (paper default: random; the other
   /// strategies implement the §VI active-learning future-work item).
   SamplingStrategy sampling = SamplingStrategy::kRandom;
-  /// Worker threads for the labeling stage (1 = serial, as the paper).
-  int labeling_threads = 1;
   /// Worker threads for SSR model training (COREG pool screening, MLP
   /// gradient chunks). Training results are bit-identical for every value.
   int ml_threads = 1;

@@ -36,8 +36,9 @@ Router::Router(const gtfs::Feed* feed, RouterOptions options)
              "transfer walk budget must be positive");
 
   if (options_.engine == RoutingEngine::kCsa) {
-    connections_ = ConnectionArray::EnsureFor(options_.connections, feed_);
-    csa_ = std::make_unique<CsaEngine>(feed_, options_, connections_,
+    options_.connections =
+        ConnectionArray::EnsureFor(options_.connections, feed_);
+    csa_ = std::make_unique<CsaEngine>(feed_, options_, options_.connections,
                                        &walk_table_);
   }
 

@@ -1,19 +1,23 @@
 // Multi-modal (walk + transit) earliest-arrival router.
 //
-// This is the library's SPQ oracle — the role OpenTripPlanner plays in the
-// paper (§IV-D). A query (origin point, destination point, day, departure
-// time) is answered with the earliest-arrival journey, decomposed into the
-// components the JT and GAC cost functions need.
+// Router is the front door every SPQ goes through — the role
+// OpenTripPlanner plays in the paper (§IV-D). A query (origin point,
+// destination point, day, departure time) is answered with the
+// earliest-arrival journey, decomposed into the components the JT and GAC
+// cost functions need. RouterOptions::engine picks who answers:
+//  * kCsa (the default): the Connection Scan engine (router/csa.h), whose
+//    window scan labels a whole zone in one sweep (core/labeling.h);
+//  * kLabelCorrecting: the search implemented in this file — the oracle
+//    the CSA engine is checked against.
 //
-// Algorithm: label-correcting Dijkstra over stops in the time dimension.
+// The label-correcting search: Dijkstra over stops in the time dimension.
 // Settling a stop scans its next departure per route (FIFO timetables make
 // the earliest boarding dominate later ones) and rides each trip forward,
 // then relaxes precomputed foot transfers. Access and egress legs connect
 // arbitrary points to stops within the walking budget; a pure-walk journey
 // is always considered.
 //
-// Two batching levers keep the zone-labeling hot path fast without changing
-// a single output bit:
+// Two levers keep the oracle fast without changing a single output bit:
 //  * RouteMany answers all SPQs that share an origin and departure with ONE
 //    expansion — the expansion itself never depends on the destination, so
 //    each target reads its answer out of the shared search (per-target
@@ -42,7 +46,7 @@ class CsaEngine;
 /// Which engine answers SPQs (see router/csa.h for the contract between
 /// the two).
 enum class RoutingEngine : uint8_t {
-  /// Label-correcting Dijkstra (this file) — the oracle foil.
+  /// Label-correcting Dijkstra (this file) — the oracle.
   kLabelCorrecting,
   /// Connection Scan over a preprocessed connection array. Journey times,
   /// feasibility, and the MAC/ACSD aggregates built from them are
@@ -84,15 +88,17 @@ struct RouterOptions {
   /// relaxations — and therefore the decomposition of some equal-cost
   /// journeys into legs — can differ. Kept for the benchmark baseline.
   bool bucket_queue = true;
-  /// Engine selection. kCsa answers every query via the Connection Scan
-  /// engine (router/csa.h), exposed through Router::csa() for the profile
-  /// (window) entry point the labeling hot path uses.
-  RoutingEngine engine = RoutingEngine::kLabelCorrecting;
+  /// Engine selection. kCsa (the default) answers every query via the
+  /// Connection Scan engine (router/csa.h), exposed through Router::csa()
+  /// for the profile (window) entry point the labeling hot path uses.
+  /// kLabelCorrecting runs the oracle search.
+  RoutingEngine engine = RoutingEngine::kCsa;
   /// Pre-built connection array to share (kCsa only; must be built from
-  /// the same feed the Router is given). Null = the Router builds its own.
-  /// Passing one array to every per-thread Router amortises the build —
-  /// the array is immutable, so sharing is free — and is how serve keeps
-  /// one array alive across scenario epochs.
+  /// the same feed the Router is given). Null = the Router builds its own
+  /// and publishes it here, so Router::options() seeds further Routers
+  /// that share it. Passing one array to every per-thread Router amortises
+  /// the build — the array is immutable, so sharing is free — and is how
+  /// serve keeps one array alive across scenario epochs.
   std::shared_ptr<const ConnectionArray> connections;
 };
 
@@ -198,10 +204,9 @@ class Router {
   RouterOptions options_;
   WalkTable walk_table_;
 
-  // Connection Scan engine (options_.engine == kCsa): every RouteMany is
-  // dispatched to it, and the label-correcting machinery below sits idle as
-  // the equivalence oracle.
-  std::shared_ptr<const ConnectionArray> connections_;
+  // Connection Scan engine (options_.engine == kCsa, scanning
+  // options_.connections): every RouteMany is dispatched to it, and the
+  // label-correcting machinery below sits idle as the equivalence oracle.
   std::unique_ptr<CsaEngine> csa_;
 
   // Distinct lines (route, next stop) serving each stop; lets the boarding

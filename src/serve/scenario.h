@@ -139,16 +139,6 @@ struct JourneyPass {
 /// the most recent few are kept.
 inline constexpr size_t kRetainedJourneyPasses = 8;
 
-/// Router configuration serve runs by default: the Connection Scan engine.
-/// Exact journey times, feasibility, and MAC/ACSD match the
-/// label-correcting engine (asserted by the golden equivalence suites);
-/// window scans make cold label builds and relabels far cheaper.
-inline router::RouterOptions DefaultServeRouterOptions() {
-  router::RouterOptions options;
-  options.engine = router::RoutingEngine::kCsa;
-  return options;
-}
-
 /// Immutable scenario snapshot. Thread-safe: all mutable state is the
 /// internal memos (label states, journey passes, SSR features), each
 /// guarded and built once per key.
@@ -254,7 +244,7 @@ class Scenario {
   std::vector<synth::Poi> pois_;
   std::shared_ptr<const OfflineState> offline_;
   uint64_t network_version_ = 0;
-  router::RouterOptions router_options_ = DefaultServeRouterOptions();
+  router::RouterOptions router_options_;
 
   mutable SharedMemo<LabelKey, ExactLabelState> states_;
   mutable SharedMemo<LabelKey, JourneyPass> passes_{kRetainedJourneyPasses};
@@ -291,11 +281,6 @@ struct RestoredScenario {
 class ScenarioStore {
  public:
   struct Options {
-    // Explicit constructor rather than a default member initializer: GCC
-    // defers nested-class member initializers to the end of the enclosing
-    // class, which would reject Options() in ScenarioStore's own defaulted
-    // arguments.
-    Options() : router(DefaultServeRouterOptions()) {}
     core::IsochroneConfig iso;
     router::RouterOptions router;
   };

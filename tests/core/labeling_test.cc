@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -51,7 +52,7 @@ TEST_F(LabelingTest, MacMatchesManualRouting) {
                                      CostKind::kJourneyTime,
                                      gtfs::Day::kTuesday);
   // Re-run the SPQs manually with a fresh router.
-  router::Router fresh(&city_.feed, router::RouterOptions{});
+  router::Router fresh(&city_.feed, testing::OracleOptions());
   double sum = 0, sum_sq = 0;
   int feasible = 0;
   for (const TripEntry& trip : todam_.TripsFor(zone)) {
@@ -132,48 +133,50 @@ TEST_F(LabelingTest, ZoneWithNoTripsGetsZeroLabel) {
   EXPECT_TRUE(found_empty);
 }
 
-TEST_F(LabelingTest, BatchedModeBitIdenticalToPerTrip) {
-  // The tentpole invariant: the one-to-many batched scheduler (with bounded
-  // relaxation on) must reproduce the per-trip per-query path EXACTLY —
-  // same floating-point aggregates, not merely close ones.
-  router::Router batched_router(&city_.feed, router::RouterOptions{});
-  router::RouterOptions unpruned;
-  unpruned.bounded_relaxation = false;
-  router::Router per_trip_router(&city_.feed, unpruned);
-
-  for (CostKind kind : {CostKind::kJourneyTime, CostKind::kGeneralizedCost}) {
-    LabelingEngine batched(&city_, &batched_router, {},
-                           LabelingMode::kBatched);
-    LabelingEngine per_trip(&city_, &per_trip_router, {},
-                            LabelingMode::kPerTrip);
-    for (uint32_t zone = 0; zone < todam_.num_zones(); ++zone) {
-      ZoneLabel a = batched.LabelZone(todam_, zone, pois_, kind,
-                                      gtfs::Day::kTuesday);
-      ZoneLabel b = per_trip.LabelZone(todam_, zone, pois_, kind,
-                                       gtfs::Day::kTuesday);
-      EXPECT_EQ(a.mac, b.mac) << "zone " << zone;
-      EXPECT_EQ(a.acsd, b.acsd) << "zone " << zone;
-      EXPECT_EQ(a.num_trips, b.num_trips) << "zone " << zone;
-      EXPECT_EQ(a.num_infeasible, b.num_infeasible) << "zone " << zone;
-      EXPECT_EQ(a.num_walk_only, b.num_walk_only) << "zone " << zone;
-    }
-    EXPECT_EQ(batched.spq_count(), per_trip.spq_count());
+TEST_F(LabelingTest, CsaBitIdenticalToOracle) {
+  // The default engine's window scans must reproduce the per-trip
+  // label-correcting oracle EXACTLY on journey times — same floating-point
+  // aggregates, not merely close ones. (GAC may tie-break equal-time legs
+  // differently between engines; see ParallelLabelingTest.)
+  ASSERT_NE(router_.csa(), nullptr);
+  router::Router oracle_router(&city_.feed, testing::OracleOptions());
+  LabelingEngine csa(&city_, &router_);
+  LabelingEngine oracle(&city_, &oracle_router);
+  for (uint32_t zone = 0; zone < todam_.num_zones(); ++zone) {
+    ZoneLabel a = csa.LabelZone(todam_, zone, pois_, CostKind::kJourneyTime,
+                                gtfs::Day::kTuesday);
+    ZoneLabel b = oracle.LabelZone(todam_, zone, pois_,
+                                   CostKind::kJourneyTime,
+                                   gtfs::Day::kTuesday);
+    EXPECT_EQ(a.mac, b.mac) << "zone " << zone;
+    EXPECT_EQ(a.acsd, b.acsd) << "zone " << zone;
+    EXPECT_EQ(a.num_trips, b.num_trips) << "zone " << zone;
+    EXPECT_EQ(a.num_infeasible, b.num_infeasible) << "zone " << zone;
+    EXPECT_EQ(a.num_walk_only, b.num_walk_only) << "zone " << zone;
   }
+  EXPECT_EQ(csa.spq_count(), oracle.spq_count());
 }
 
-TEST_F(LabelingTest, BatchedModeDispatchesFewerExpansions) {
-  LabelingEngine batched(&city_, &router_, {}, LabelingMode::kBatched);
-  uint64_t trips = 0;
+TEST_F(LabelingTest, ExpansionCountFollowsEngine) {
+  // The oracle pays one search per trip; CSA pays one window scan per zone
+  // that has trips. Both answer one SPQ per trip.
+  router::Router oracle_router(&city_.feed, testing::OracleOptions());
+  LabelingEngine csa(&city_, &router_);
+  LabelingEngine oracle(&city_, &oracle_router);
+  uint64_t trips = 0, zones_with_trips = 0;
   for (uint32_t zone = 0; zone < todam_.num_zones(); ++zone) {
-    batched.LabelZone(todam_, zone, pois_, CostKind::kJourneyTime,
-                      gtfs::Day::kTuesday);
+    csa.LabelZone(todam_, zone, pois_, CostKind::kJourneyTime,
+                  gtfs::Day::kTuesday);
+    oracle.LabelZone(todam_, zone, pois_, CostKind::kJourneyTime,
+                     gtfs::Day::kTuesday);
     trips += todam_.TripsFor(zone).size();
+    if (!todam_.TripsFor(zone).empty()) ++zones_with_trips;
   }
-  EXPECT_EQ(batched.spq_count(), trips);
-  // Every departure group costs one expansion, so the dispatch count can
-  // never exceed the trip count (and shrinks whenever departures collide).
-  EXPECT_LE(batched.expansion_count(), batched.spq_count());
-  EXPECT_GT(batched.expansion_count(), 0u);
+  ASSERT_GT(zones_with_trips, 0u);
+  EXPECT_EQ(oracle.spq_count(), trips);
+  EXPECT_EQ(csa.spq_count(), trips);
+  EXPECT_EQ(oracle.expansion_count(), trips);
+  EXPECT_EQ(csa.expansion_count(), zones_with_trips);
 }
 
 TEST_F(LabelingTest, DeterministicAcrossEngines) {

@@ -1,8 +1,11 @@
 #include "core/parallel_labeling.h"
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 
 namespace staq::core {
@@ -78,28 +81,6 @@ TEST_F(ParallelLabelingTest, EmptyZoneList) {
   EXPECT_TRUE(labels.empty());
 }
 
-TEST_F(ParallelLabelingTest, BatchedAndPerTripModesAgreeAcrossThreads) {
-  uint64_t batched_spqs = 0, per_trip_spqs = 0;
-  auto batched = LabelZonesParallel(
-      city_, todam_, all_zones_, pois_, CostKind::kJourneyTime,
-      gtfs::Day::kTuesday, /*num_threads=*/4, {}, {}, &batched_spqs,
-      LabelingMode::kBatched);
-  router::RouterOptions unpruned;
-  unpruned.bounded_relaxation = false;
-  auto per_trip = LabelZonesParallel(
-      city_, todam_, all_zones_, pois_, CostKind::kJourneyTime,
-      gtfs::Day::kTuesday, /*num_threads=*/4, unpruned, {}, &per_trip_spqs,
-      LabelingMode::kPerTrip);
-  ASSERT_EQ(batched.size(), per_trip.size());
-  EXPECT_EQ(batched_spqs, per_trip_spqs);
-  for (size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].mac, per_trip[i].mac) << "zone " << i;
-    EXPECT_EQ(batched[i].acsd, per_trip[i].acsd) << "zone " << i;
-    EXPECT_EQ(batched[i].num_infeasible, per_trip[i].num_infeasible);
-    EXPECT_EQ(batched[i].num_walk_only, per_trip[i].num_walk_only);
-  }
-}
-
 /// Bit-identity (not tolerance) between two labelings: the contract the
 /// serve snapshots and result cache rely on is that thread count is never
 /// observable in an answer.
@@ -115,26 +96,49 @@ void ExpectBitIdentical(const std::vector<ZoneLabel>& a,
   }
 }
 
+/// JT labels of the default CSA engine against the label-correcting oracle
+/// (one worker), at 1, 2 and 8 workers all sharing one connection array.
+/// Journey times are engine-invariant, so MAC/ACSD must agree exactly.
+void ExpectCsaMatchesOracle(const synth::City& city, const Todam& todam,
+                            const std::vector<uint32_t>& zones,
+                            const std::vector<synth::Poi>& pois) {
+  uint64_t oracle_spqs = 0;
+  auto oracle = LabelZonesParallel(city, todam, zones, pois,
+                                   CostKind::kJourneyTime, gtfs::Day::kTuesday,
+                                   /*num_threads=*/1, testing::OracleOptions(),
+                                   {}, &oracle_spqs);
+  for (size_t threads : {1u, 2u, 8u}) {
+    uint64_t spqs = 0;
+    auto csa = LabelZonesParallel(city, todam, zones, pois,
+                                  CostKind::kJourneyTime, gtfs::Day::kTuesday,
+                                  threads, {}, {}, &spqs);
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    EXPECT_EQ(spqs, oracle_spqs);
+    ExpectBitIdentical(oracle, csa);
+  }
+}
+
 TEST_F(ParallelLabelingTest, ThreadCountSweepIsBitIdentical) {
-  // Golden-seed determinism across the whole thread sweep, in both labeling
-  // modes: 1, 2, and 8 workers partition the zones differently, yet every
+  // Golden-seed determinism across the whole thread sweep, on both routing
+  // engines: 1, 2, and 8 workers partition the zones differently, yet every
   // label and the SPQ count must come out bit-identical.
-  for (LabelingMode mode : {LabelingMode::kBatched, LabelingMode::kPerTrip}) {
+  for (router::RoutingEngine engine : {router::RoutingEngine::kCsa,
+                                       router::RoutingEngine::kLabelCorrecting}) {
     router::RouterOptions options;
-    if (mode == LabelingMode::kPerTrip) options.bounded_relaxation = false;
+    options.engine = engine;
     uint64_t baseline_spqs = 0;
     auto baseline = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                        CostKind::kJourneyTime,
                                        gtfs::Day::kTuesday, /*num_threads=*/1,
-                                       options, {}, &baseline_spqs, mode);
+                                       options, {}, &baseline_spqs);
     for (size_t threads : {2u, 8u}) {
       uint64_t spqs = 0;
       auto labels = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                        CostKind::kJourneyTime,
                                        gtfs::Day::kTuesday, threads, options,
-                                       {}, &spqs, mode);
+                                       {}, &spqs);
       SCOPED_TRACE(::testing::Message()
-                   << "mode " << static_cast<int>(mode) << " threads "
+                   << "engine " << static_cast<int>(engine) << " threads "
                    << threads);
       EXPECT_EQ(spqs, baseline_spqs);
       ExpectBitIdentical(baseline, labels);
@@ -142,81 +146,67 @@ TEST_F(ParallelLabelingTest, ThreadCountSweepIsBitIdentical) {
   }
 }
 
-TEST_F(ParallelLabelingTest, ProfileModeMatchesBatchedAcrossThreads) {
-  // Window-scan labeling (CSA engine, one sweep per zone) against the
-  // label-correcting batched baseline. JT labels are built from journey
-  // times only, which the engines produce bit-identically, so MAC/ACSD
-  // must agree exactly — at every thread count, with all workers sharing
-  // one connection array.
-  uint64_t batched_spqs = 0;
-  auto batched = LabelZonesParallel(city_, todam_, all_zones_, pois_,
-                                    CostKind::kJourneyTime,
-                                    gtfs::Day::kTuesday, /*num_threads=*/1,
-                                    {}, {}, &batched_spqs,
-                                    LabelingMode::kBatched);
-  router::RouterOptions csa;
-  csa.engine = router::RoutingEngine::kCsa;
-  for (size_t threads : {1u, 4u, 8u}) {
-    uint64_t spqs = 0;
-    auto profile = LabelZonesParallel(city_, todam_, all_zones_, pois_,
-                                      CostKind::kJourneyTime,
-                                      gtfs::Day::kTuesday, threads, csa, {},
-                                      &spqs, LabelingMode::kAuto);
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    EXPECT_EQ(spqs, batched_spqs);
-    ExpectBitIdentical(batched, profile);
-  }
+TEST_F(ParallelLabelingTest, CsaMatchesOracleAcrossThreads) {
+  ExpectCsaMatchesOracle(city_, todam_, all_zones_, pois_);
 }
 
 TEST_F(ParallelLabelingTest, ProfileGacSweepIsBitIdentical) {
   // GAC depends on leg decomposition, which may tie-differ BETWEEN engines,
   // so the cross-thread contract is pinned within the CSA engine: the
   // thread count must never be observable in a window-scan label.
-  router::RouterOptions csa;
-  csa.engine = router::RoutingEngine::kCsa;
   uint64_t baseline_spqs = 0;
   auto baseline = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                      CostKind::kGeneralizedCost,
                                      gtfs::Day::kTuesday, /*num_threads=*/1,
-                                     csa, {}, &baseline_spqs,
-                                     LabelingMode::kProfile);
+                                     {}, {}, &baseline_spqs);
   for (size_t threads : {2u, 8u}) {
     uint64_t spqs = 0;
     auto labels = LabelZonesParallel(city_, todam_, all_zones_, pois_,
                                      CostKind::kGeneralizedCost,
-                                     gtfs::Day::kTuesday, threads, csa, {},
-                                     &spqs, LabelingMode::kProfile);
+                                     gtfs::Day::kTuesday, threads, {}, {},
+                                     &spqs);
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     EXPECT_EQ(spqs, baseline_spqs);
     ExpectBitIdentical(baseline, labels);
   }
 }
 
-TEST(ParallelLabelingCityTest, BrindaleSweepIsBitIdentical) {
-  // Second city family (the Covely fixture covers the first): Brindale's
-  // radial layout produces different zone geometry and trip mixes, so a
-  // scheduling-order dependence that Covely masks would surface here.
+/// Brindale 0.1 (the Covely fixture covers the first family): its radial
+/// layout produces different zone geometry and trip mixes, so a
+/// scheduling-order dependence that Covely masks would surface here.
+struct BrindaleFixture {
+  synth::City city;
+  std::vector<synth::Poi> pois;
+  Todam todam;
+  std::vector<uint32_t> zones;
+};
+
+BrindaleFixture MakeBrindale() {
   auto built = synth::BuildCity(synth::CitySpec::Brindale(0.1, 7));
-  ASSERT_TRUE(built.ok());
-  synth::City city = std::move(built).value();
-  std::vector<synth::Poi> pois = city.PoisOf(synth::PoiCategory::kSchool);
-  ASSERT_FALSE(pois.empty());
+  if (!built.ok()) std::abort();
+  BrindaleFixture f{std::move(built).value(), {}, {}, {}};
+  f.pois = f.city.PoisOf(synth::PoiCategory::kSchool);
   GravityConfig gravity;
   gravity.sample_rate_per_hour = 4;
   gravity.keep_scale = 2.0;
-  TodamBuilder builder(city.zones, pois, gtfs::WeekdayAmPeak(), gravity);
-  Todam todam = builder.BuildGravity(/*seed=*/3);
-  std::vector<uint32_t> zones;
-  for (uint32_t z = 0; z < city.zones.size(); ++z) zones.push_back(z);
+  TodamBuilder builder(f.city.zones, f.pois, gtfs::WeekdayAmPeak(), gravity);
+  f.todam = builder.BuildGravity(/*seed=*/3);
+  for (uint32_t z = 0; z < f.city.zones.size(); ++z) f.zones.push_back(z);
+  return f;
+}
+
+TEST(ParallelLabelingCityTest, BrindaleSweepIsBitIdentical) {
+  BrindaleFixture f = MakeBrindale();
+  ASSERT_FALSE(f.pois.empty());
 
   uint64_t baseline_spqs = 0;
-  auto baseline = LabelZonesParallel(city, todam, zones, pois,
+  auto baseline = LabelZonesParallel(f.city, f.todam, f.zones, f.pois,
                                      CostKind::kJourneyTime,
                                      gtfs::Day::kTuesday, /*num_threads=*/1,
                                      {}, {}, &baseline_spqs);
   for (size_t threads : {2u, 8u}) {
     uint64_t spqs = 0;
-    auto labels = LabelZonesParallel(city, todam, zones, pois,
+    auto labels = LabelZonesParallel(f.city, f.todam, f.zones, f.pois,
                                      CostKind::kJourneyTime,
                                      gtfs::Day::kTuesday, threads, {}, {},
                                      &spqs);
@@ -226,20 +216,10 @@ TEST(ParallelLabelingCityTest, BrindaleSweepIsBitIdentical) {
   }
 }
 
-TEST_F(ParallelLabelingTest, PipelineParallelMatchesSerialPredictions) {
-  SsrPipeline pipeline(&city_, gtfs::WeekdayAmPeak());
-  PipelineConfig config;
-  config.beta = 0.2;
-  config.model = ml::ModelKind::kOls;
-  config.seed = 3;
-
-  auto serial = pipeline.Run(pois_, todam_, config);
-  config.labeling_threads = 4;
-  auto parallel = pipeline.Run(pois_, todam_, config);
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_EQ(serial.value().mac, parallel.value().mac);
-  EXPECT_EQ(serial.value().acsd, parallel.value().acsd);
-  EXPECT_EQ(serial.value().spqs, parallel.value().spqs);
+TEST(ParallelLabelingCityTest, BrindaleCsaMatchesOracleAcrossThreads) {
+  BrindaleFixture f = MakeBrindale();
+  ASSERT_FALSE(f.pois.empty());
+  ExpectCsaMatchesOracle(f.city, f.todam, f.zones, f.pois);
 }
 
 TEST_F(ParallelLabelingTest, ParallelGroundTruthMatches) {

@@ -19,6 +19,7 @@
 #include "router/router.h"
 #include "synth/city_builder.h"
 #include "synth/city_spec.h"
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -117,7 +118,7 @@ TEST(CsaEquivalenceTest, MatchesOracleAcrossCityFamiliesAndSeeds) {
         std::move(synth::BuildCity(synth::CitySpec::Covely(0.06, seed)))
             .value());
     for (const synth::City& city : cities) {
-      Router oracle(&city.feed, RouterOptions{});
+      Router oracle(&city.feed, testing::OracleOptions());
       Router csa(&city.feed, CsaOptions());
       ASSERT_NE(csa.csa(), nullptr);
       std::vector<geo::Point> origins = SampleOrigins(city, seed + 1, 4);
@@ -146,7 +147,7 @@ TEST(CsaEquivalenceTest, MatchesOracleOnHandBuiltFeeds) {
   gtfs::Feed line = testing::LineFeed(600);
   gtfs::Feed transfer = testing::TransferFeed();
   for (gtfs::Feed* feed : {&line, &transfer}) {
-    Router oracle(feed, RouterOptions{});
+    Router oracle(feed, testing::OracleOptions());
     Router csa(feed, CsaOptions());
     std::vector<geo::Point> targets = {
         {4000, 100}, {300, 0}, {6000, 100}, {0, 0}, {1e7, 1e7}};
@@ -173,7 +174,7 @@ TEST(CsaEquivalenceTest, MatchesOracleWithoutPruning) {
   unpruned.bounded_relaxation = false;
   Router pruned(&city.feed, CsaOptions());
   Router full(&city.feed, unpruned);
-  Router oracle(&city.feed, RouterOptions{});
+  Router oracle(&city.feed, testing::OracleOptions());
   std::vector<geo::Point> origins = SampleOrigins(city, 3, 3);
   std::vector<geo::Point> targets = SampleTargets(city, 4, 6);
   for (const geo::Point& origin : origins) {
@@ -196,7 +197,7 @@ TEST(CsaEquivalenceTest, MatchesOracleWithoutPruning) {
 TEST(CsaEquivalenceTest, WalkOnlyAndInfeasibleEdgeCases) {
   gtfs::Feed feed = testing::LineFeed(600);
   Router csa(&feed, CsaOptions());
-  Router oracle(&feed, RouterOptions{});
+  Router oracle(&feed, testing::OracleOptions());
 
   // Origin == target: zero-duration walk-only journey.
   std::vector<geo::Point> same = {{0, 100}};
@@ -235,7 +236,7 @@ TEST(CsaEquivalenceTest, WalkOnlyAndInfeasibleEdgeCases) {
 TEST(CsaEquivalenceTest, ScratchReuseAcrossCallsStaysExact) {
   synth::City city = testing::TinyCity();
   Router reused(&city.feed, CsaOptions());
-  Router oracle(&city.feed, RouterOptions{});
+  Router oracle(&city.feed, testing::OracleOptions());
   std::vector<geo::Point> origins = SampleOrigins(city, 23, 4);
   std::vector<geo::Point> targets = SampleTargets(city, 24, 6);
   for (int round = 0; round < 3; ++round) {
@@ -320,7 +321,7 @@ TEST(CsaProfileTest, WindowScanMatchesOracleAcrossRateWindows) {
   // over AM-peak-like spans, all targets shared.
   synth::City city = testing::TinyCity();
   Router router(&city.feed, CsaOptions());
-  Router oracle(&city.feed, RouterOptions{});
+  Router oracle(&city.feed, testing::OracleOptions());
   CsaEngine* csa = router.csa();
 
   std::vector<geo::Point> unique = SampleTargets(city, 41, 7);

@@ -8,6 +8,7 @@
 
 #include "router/cost.h"
 #include "router/router.h"
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -70,8 +71,8 @@ QuerySet SampleQueries(const synth::City& city, uint64_t seed) {
 
 TEST(RouteManyTest, MatchesPerTargetRouteOnSyntheticCity) {
   synth::City city = testing::TinyCity();
-  Router batched(&city.feed, RouterOptions{});
-  Router single(&city.feed, RouterOptions{});
+  Router batched(&city.feed, testing::OracleOptions());
+  Router single(&city.feed, testing::OracleOptions());
   QuerySet q = SampleQueries(city, /*seed=*/11);
 
   for (const geo::Point& origin : q.origins) {
@@ -92,9 +93,9 @@ TEST(RouteManyTest, MatchesPerTargetRouteOnSyntheticCity) {
 
 TEST(RouteManyTest, BoundedRelaxationMatchesUnbounded) {
   synth::City city = testing::TinyCity();
-  RouterOptions unbounded;
+  RouterOptions unbounded = testing::OracleOptions();
   unbounded.bounded_relaxation = false;
-  Router pruned(&city.feed, RouterOptions{});
+  Router pruned(&city.feed, testing::OracleOptions());
   Router full(&city.feed, unbounded);
   QuerySet q = SampleQueries(city, /*seed=*/17);
 
@@ -116,10 +117,10 @@ TEST(RouteManyTest, BoardingRouteBreakMatchesFullWindowScan) {
   // an earlier (FIFO-dominant) boarding, so it must be exactly equivalent
   // to walking the full max_boarding_wait_s window.
   synth::City city = testing::TinyCity();
-  RouterOptions full_scan;
+  RouterOptions full_scan = testing::OracleOptions();
   full_scan.boarding_route_break = false;
   full_scan.bounded_relaxation = false;
-  Router pruned(&city.feed, RouterOptions{});
+  Router pruned(&city.feed, testing::OracleOptions());
   Router full(&city.feed, full_scan);
   QuerySet q = SampleQueries(city, /*seed=*/19);
 
@@ -141,9 +142,9 @@ TEST(RouteManyTest, HeapAndBucketQueuesAgreeOnArrivals) {
   // decompositions — but earliest arrivals (hence feasibility and journey
   // time) are discipline-invariant.
   synth::City city = testing::TinyCity();
-  RouterOptions heap_opts;
+  RouterOptions heap_opts = testing::OracleOptions();
   heap_opts.bucket_queue = false;
-  Router bucket(&city.feed, RouterOptions{});
+  Router bucket(&city.feed, testing::OracleOptions());
   Router heap(&city.feed, heap_opts);
   QuerySet q = SampleQueries(city, /*seed=*/31);
 
@@ -166,8 +167,8 @@ TEST(RouteManyTest, MatchesRouteOnHandBuiltFeeds) {
   gtfs::Feed line = testing::LineFeed(600);
   gtfs::Feed transfer = testing::TransferFeed();
   for (gtfs::Feed* feed : {&line, &transfer}) {
-    Router batched(feed, RouterOptions{});
-    Router single(feed, RouterOptions{});
+    Router batched(feed, testing::OracleOptions());
+    Router single(feed, testing::OracleOptions());
     std::vector<geo::Point> targets = {
         {4000, 100}, {300, 0}, {6000, 100}, {0, 0}, {1e7, 1e7}};
     std::vector<Journey> many = batched.RouteMany(
@@ -182,7 +183,7 @@ TEST(RouteManyTest, MatchesRouteOnHandBuiltFeeds) {
 
 TEST(RouteManyTest, DuplicateTargetsGetIdenticalJourneys) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   std::vector<geo::Point> targets = {{4000, 100}, {4000, 100}, {4000, 100}};
   std::vector<Journey> many = router.RouteMany(
       {0, 100}, targets, gtfs::Day::kTuesday, gtfs::MakeTime(7, 0));
@@ -194,7 +195,7 @@ TEST(RouteManyTest, DuplicateTargetsGetIdenticalJourneys) {
 
 TEST(RouteManyTest, OriginEqualsTarget) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   std::vector<geo::Point> targets = {{0, 100}};
   std::vector<Journey> many = router.RouteMany(
       {0, 100}, targets, gtfs::Day::kTuesday, gtfs::MakeTime(7, 0));
@@ -206,7 +207,7 @@ TEST(RouteManyTest, OriginEqualsTarget) {
 
 TEST(RouteManyTest, EmptyTargetListIsANoOp) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   std::vector<Journey> many = router.RouteMany(
       {0, 100}, {}, gtfs::Day::kTuesday, gtfs::MakeTime(7, 0));
   EXPECT_TRUE(many.empty());
@@ -216,8 +217,8 @@ TEST(RouteManyTest, ScratchReuseAcrossCallsStaysExact) {
   // Interleave batches and singles on ONE router so stale epoch state from
   // a previous call would be caught.
   synth::City city = testing::TinyCity();
-  Router reused(&city.feed, RouterOptions{});
-  Router fresh_feed(&city.feed, RouterOptions{});
+  Router reused(&city.feed, testing::OracleOptions());
+  Router fresh_feed(&city.feed, testing::OracleOptions());
   QuerySet q = SampleQueries(city, /*seed=*/23);
 
   for (int round = 0; round < 3; ++round) {
@@ -226,7 +227,7 @@ TEST(RouteManyTest, ScratchReuseAcrossCallsStaysExact) {
       std::vector<Journey> many =
           reused.RouteMany(origin, q.targets, gtfs::Day::kFriday, depart);
       for (size_t t = 0; t < q.targets.size(); ++t) {
-        Router oneshot(&city.feed, RouterOptions{});
+        Router oneshot(&city.feed, testing::OracleOptions());
         Journey one = oneshot.Route(origin, q.targets[t], gtfs::Day::kFriday,
                                     depart);
         ExpectSameJourney(many[t], one);
@@ -243,7 +244,7 @@ TEST(RouteManyTest, ScratchReuseAcrossCallsStaysExact) {
 
 TEST(RouteManyTest, CachedOriginAccessMatchesInternalLookup) {
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, RouterOptions{});
+  Router router(&city.feed, testing::OracleOptions());
   QuerySet q = SampleQueries(city, /*seed=*/29);
   const geo::Point origin = q.origins[0];
   std::vector<WalkHop> access = router.walk_table().AccessStops(origin);

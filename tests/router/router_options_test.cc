@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "router/router.h"
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 
 namespace staq::router {
@@ -58,7 +59,7 @@ TEST_F(RouterOptionsDeathTest, CsaEngineValidatesTheSameOptions) {
 }
 
 TEST_F(RouterOptionsDeathTest, ValidOptionsConstruct) {
-  Router lc(&feed_, RouterOptions{});
+  Router lc(&feed_, testing::OracleOptions());
   EXPECT_EQ(lc.csa(), nullptr);
   RouterOptions csa_options;
   csa_options.engine = RoutingEngine::kCsa;

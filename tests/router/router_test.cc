@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 #include "util/rng.h"
 
@@ -14,7 +15,7 @@ constexpr double kWalkSecondsPerMeter = 1.3 / 1.25;
 
 TEST(RouterTest, SingleRideJourney) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   // Origin 100 m from stop 0, destination 100 m from stop 2.
   Journey j = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 0));
@@ -37,7 +38,7 @@ TEST(RouterTest, SingleRideJourney) {
 
 TEST(RouterTest, CatchesExactDeparture) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   // Standing at stop 0 exactly at 07:10 catches the 07:10 trip.
   Journey j = router.Route({0, 0}, {4000, 0}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 10));
@@ -48,7 +49,7 @@ TEST(RouterTest, CatchesExactDeparture) {
 
 TEST(RouterTest, WalkOnlyWinsShortTrips) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   Journey j = router.Route({0, 0}, {300, 0}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(7, 0));
   ASSERT_TRUE(j.feasible);
@@ -61,7 +62,7 @@ TEST(RouterTest, WalkOnlyWinsShortTrips) {
 
 TEST(RouterTest, TransferJourney) {
   gtfs::Feed feed = testing::TransferFeed();
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   Journey j = router.Route({0, 50}, {6000, 100}, gtfs::Day::kMonday,
                            gtfs::MakeTime(7, 0));
   ASSERT_TRUE(j.feasible);
@@ -76,7 +77,7 @@ TEST(RouterTest, TransferJourney) {
 
 TEST(RouterTest, DayFilterMakesServiceInvisible) {
   gtfs::Feed feed = testing::LineFeed(600);  // weekdays only
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   Journey sunday = router.Route({0, 100}, {4000, 100}, gtfs::Day::kSunday,
                                 gtfs::MakeTime(7, 0));
   // No transit on Sunday: only the (long) walk remains.
@@ -86,7 +87,7 @@ TEST(RouterTest, DayFilterMakesServiceInvisible) {
 
 TEST(RouterTest, InfeasibleBeyondHorizon) {
   gtfs::Feed feed = testing::LineFeed(600);
-  RouterOptions options;
+  RouterOptions options = testing::OracleOptions();
   options.horizon_s = 600;  // 10 minutes
   Router router(&feed, options);
   // 40 km walk with no useful transit: infeasible within 10 min.
@@ -97,7 +98,7 @@ TEST(RouterTest, InfeasibleBeyondHorizon) {
 
 TEST(RouterTest, ZeroDistanceTrip) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   Journey j = router.Route({500, 500}, {500, 500}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(8, 0));
   ASSERT_TRUE(j.feasible);
@@ -106,7 +107,7 @@ TEST(RouterTest, ZeroDistanceTrip) {
 
 TEST(RouterTest, AfterLastServiceFallsBackToWalk) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   Journey j = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                            gtfs::MakeTime(10, 0));
   ASSERT_TRUE(j.feasible);
@@ -115,7 +116,7 @@ TEST(RouterTest, AfterLastServiceFallsBackToWalk) {
 
 TEST(RouterTest, BoardingWaitCapSkipsSparseService) {
   gtfs::Feed feed = testing::LineFeed(600);
-  RouterOptions options;
+  RouterOptions options = testing::OracleOptions();
   options.max_boarding_wait_s = 120;  // nobody waits 2+ minutes
   Router router(&feed, options);
   // Departing at 07:12: next bus is 07:20, an 8-minute wait — beyond the
@@ -133,7 +134,7 @@ TEST(RouterTest, BoardingWaitCapSkipsSparseService) {
 
 TEST(RouterTest, AccessBudgetLimitsReachableStops) {
   gtfs::Feed feed = testing::LineFeed(600);
-  RouterOptions options;
+  RouterOptions options = testing::OracleOptions();
   options.walk.max_access_walk_s = 60;  // ~58 m of straight line
   Router router(&feed, options);
   // 100 m from the stop: outside the tightened access budget -> walk only.
@@ -145,7 +146,7 @@ TEST(RouterTest, AccessBudgetLimitsReachableStops) {
 
 TEST(RouterTest, LaterDepartureNeverArrivesEarlier) {
   gtfs::Feed feed = testing::TransferFeed();
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   gtfs::TimeOfDay prev_arrival = 0;
   for (int m = 0; m <= 60; m += 7) {
     Journey j = router.Route({0, 50}, {6000, 100}, gtfs::Day::kMonday,
@@ -158,7 +159,7 @@ TEST(RouterTest, LaterDepartureNeverArrivesEarlier) {
 
 TEST(RouterTest, ScratchReuseAcrossQueriesIsClean) {
   gtfs::Feed feed = testing::LineFeed(600);
-  Router router(&feed, RouterOptions{});
+  Router router(&feed, testing::OracleOptions());
   Journey first = router.Route({0, 100}, {4000, 100}, gtfs::Day::kTuesday,
                                gtfs::MakeTime(7, 0));
   // Run 50 other queries, then repeat the first: identical answer.
@@ -180,7 +181,7 @@ TEST(RouterTest, ComponentsSumToJourneyTime) {
   // Property over a synthetic city: journey component decomposition is
   // internally consistent for every feasible trip.
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, RouterOptions{});
+  Router router(&city.feed, testing::OracleOptions());
   util::Rng rng(77);
   int checked = 0;
   for (int i = 0; i < 200; ++i) {
@@ -208,7 +209,7 @@ TEST(RouterTest, ComponentsSumToJourneyTime) {
 TEST(RouterTest, TransitNeverWorseThanNotUsingIt) {
   // The router's answer is never slower than the pure walk baseline.
   synth::City city = testing::TinyCity();
-  Router router(&city.feed, RouterOptions{});
+  Router router(&city.feed, testing::OracleOptions());
   WalkParams walk;
   util::Rng rng(78);
   for (int i = 0; i < 100; ++i) {

@@ -26,6 +26,7 @@
 #include "core/labeling.h"
 #include "router/router.h"
 #include "serve/server.h"
+#include "testing/oracle.h"
 #include "testing/test_city.h"
 
 namespace staq::serve {
@@ -438,7 +439,7 @@ TEST_P(SharedArrayMutationTest, EpochStatesMatchFreshEngineOracles) {
       auto csa_oracle = snapshot->BuildLabelState(key, &csa_engine);
       ExpectSameLabels(state->labels, csa_oracle->labels, "fresh-array csa");
 
-      router::Router lc_router(&city.feed, router::RouterOptions{});
+      router::Router lc_router(&city.feed, testing::OracleOptions());
       core::LabelingEngine lc_engine(&city, &lc_router);
       auto lc_oracle = snapshot->BuildLabelState(key, &lc_engine);
       ExpectSameLabels(state->labels, lc_oracle->labels, "label-correcting");
