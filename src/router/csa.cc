@@ -56,9 +56,7 @@ CsaEngine::CsaEngine(const gtfs::Feed* feed, const RouterOptions& options,
 gtfs::TimeOfDay CsaEngine::RelaxLimit(double worst_total,
                                       gtfs::TimeOfDay depart,
                                       gtfs::TimeOfDay latest_arrival) const {
-  if (!options_.bounded_relaxation || !std::isfinite(worst_total)) {
-    return latest_arrival;
-  }
+  if (!std::isfinite(worst_total)) return latest_arrival;
   // Same bound as Router::RelaxLimit: keep labels whose arrival - depart is
   // strictly below the worst still-improvable total.
   double cutoff = std::ceil(worst_total);

@@ -10,8 +10,8 @@
 // final per-target bests — journey times, feasibility, and therefore every
 // MAC/ACSD aggregate — exactly equal to the Router's (the golden
 // equivalence suite pins this). Equal-cost journeys may decompose into
-// different legs than the Router's, exactly like the Router's own
-// heap-vs-bucket tie-breaks; see DESIGN.md §11 for the equivalence
+// different legs than the Router's (the engines break ties among equal
+// arrivals in different orders); see DESIGN.md §11 for the equivalence
 // contract.
 //
 // The profile (window) entry point is what the labeling hot path uses: all

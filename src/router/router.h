@@ -17,7 +17,8 @@
 // arbitrary points to stops within the walking budget; a pure-walk journey
 // is always considered.
 //
-// Two levers keep the oracle fast without changing a single output bit:
+// The search is one fixed algorithm, kept fast without changing a single
+// output bit:
 //  * RouteMany answers all SPQs that share an origin and departure with ONE
 //    expansion — the expansion itself never depends on the destination, so
 //    each target reads its answer out of the shared search (per-target
@@ -27,7 +28,10 @@
 //    after depart + (worst best-known total across targets). Such entries
 //    would pop only after the search has already stopped improving, and
 //    can never appear on a reconstructed path, so results are bit-identical
-//    to the unpruned search (see RouterOptions::bounded_relaxation).
+//    to the unpruned search (see RelaxLimit).
+//  * The boarding scan stops once every line serving the stop has claimed
+//    its earliest departure, and a Dial-style bucket queue orders the
+//    settles (see the scratch members below).
 #pragma once
 
 #include <cstdint>
@@ -51,8 +55,8 @@ enum class RoutingEngine : uint8_t {
   /// Connection Scan over a preprocessed connection array. Journey times,
   /// feasibility, and the MAC/ACSD aggregates built from them are
   /// bit-identical to kLabelCorrecting; equal-cost journeys may decompose
-  /// into different legs (same bounded equivalence as the Router's own
-  /// heap-vs-bucket tie-breaks).
+  /// into different legs (the engines break ties among equal arrivals in
+  /// different orders).
   kCsa,
 };
 
@@ -66,28 +70,6 @@ struct RouterOptions {
   double horizon_s = 3 * 3600;
   /// Maximum wait for any single boarding.
   double max_boarding_wait_s = 3600;
-  /// Prune relaxations that provably cannot improve any target: a label
-  /// arriving at or after depart + best-known-total would be popped only
-  /// after the search breaks, so skipping it is result-preserving (the
-  /// equivalence is asserted by tests). Off reproduces the pre-batching
-  /// search frontier exactly — kept as the benchmark baseline and as a
-  /// verification foil.
-  bool bounded_relaxation = true;
-  /// Stop the boarding scan once every distinct line — (route, direction),
-  /// keyed by the trip's next stop — serving the stop has claimed its
-  /// earliest departure (FIFO timetables make later same-direction
-  /// departures of a claimed line irrelevant). Skipped iterations can never
-  /// board, so results are unchanged; off reproduces the original scan,
-  /// which walks the full max_boarding_wait_s window — kept for the
-  /// benchmark baseline.
-  bool boarding_route_break = true;
-  /// Queue discipline. true (default): Dial-style bucket queue — O(1) push,
-  /// cursor-scan pop, lazily epoch-reset. false: the original binary heap.
-  /// Arrival times (hence journey times, feasibility, MAC/ACSD) are
-  /// identical under both disciplines; only the tie-break among equal-time
-  /// relaxations — and therefore the decomposition of some equal-cost
-  /// journeys into legs — can differ. Kept for the benchmark baseline.
-  bool bucket_queue = true;
   /// Engine selection. kCsa (the default) answers every query via the
   /// Connection Scan engine (router/csa.h), exposed through Router::csa()
   /// for the profile (window) entry point the labeling hot path uses.
@@ -168,11 +150,12 @@ class Router {
   };
 
   /// Resets per-query scratch lazily via the epoch counter.
-  bool Fresh(uint32_t stop) const { return stop_epoch_[stop] == epoch_; }
   Label& Touch(uint32_t stop);
 
-  /// Latest arrival still worth labeling: relaxations past this bound can
-  /// never improve any target (see bounded_relaxation).
+  /// Latest arrival still worth labeling: a label arriving at or after
+  /// depart + `worst_total` would pop only after the settle loop stops, so
+  /// relaxations past this bound can never improve any target. An infinite
+  /// `worst_total` (some target still unreachable) prunes nothing.
   gtfs::TimeOfDay RelaxLimit(double worst_total, gtfs::TimeOfDay depart,
                              gtfs::TimeOfDay latest_arrival) const;
 
@@ -205,8 +188,9 @@ class Router {
   WalkTable walk_table_;
 
   // Connection Scan engine (options_.engine == kCsa, scanning
-  // options_.connections): every RouteMany is dispatched to it, and the
-  // label-correcting machinery below sits idle as the equivalence oracle.
+  // options_.connections): every RouteMany is dispatched to it. The
+  // label-correcting state below is built only for kLabelCorrecting and
+  // stays empty under kCsa.
   std::unique_ptr<CsaEngine> csa_;
 
   // Distinct lines (route, next stop) serving each stop; lets the boarding
@@ -221,8 +205,7 @@ class Router {
   size_t dep_cells_ = 0;
   std::vector<uint32_t> dep_index_;
 
-  /// Enqueues `stop` at arrival time `at` under the configured queue
-  /// discipline.
+  /// Enqueues `stop` at arrival time `at`.
   void PushQueue(gtfs::TimeOfDay at, uint32_t stop);
 
   // Scratch: labels + queue, versioned by epoch_ so a new query needs no
@@ -246,16 +229,6 @@ class Router {
   std::vector<uint32_t> bucket_epoch_;
   uint32_t queue_pending_ = 0;
   size_t max_bucket_ = 0;
-
-  // Binary-heap fallback (RouterOptions::bucket_queue == false).
-  struct QueueEntry {
-    gtfs::TimeOfDay time;
-    uint32_t stop;
-    friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-      return a.time > b.time;
-    }
-  };
-  std::vector<QueueEntry> queue_storage_;
 
   // Merged egress map, versioned by the same epoch (replaces the per-query
   // O(num_stops) egress table).

@@ -4,8 +4,8 @@
 //
 // The cross-engine contract (DESIGN.md §11): journey times, feasibility,
 // and departure/arrival instants are bit-identical; equal-cost journeys may
-// decompose into different legs (the same bounded equivalence the Router's
-// own heap-vs-bucket disciplines exhibit). The within-engine contract is
+// decompose into different legs (the engines break ties among equal
+// arrivals in different orders). The within-engine contract is
 // stronger: a window scan's lanes are bit-identical — legs and all — to
 // running each departure's scan alone.
 #include <cmath>
@@ -167,28 +167,34 @@ TEST(CsaEquivalenceTest, MatchesOracleOnHandBuiltFeeds) {
 }
 
 TEST(CsaEquivalenceTest, MatchesOracleWithoutPruning) {
-  // The bounded-relaxation and route-break levers are result-preserving in
-  // both engines; switching them off must not change what CSA returns.
+  // Bounded relaxation is result-preserving in both engines: each pruned
+  // target must match the same engine's unpruned search, which is the
+  // target batched with the unreachable sentinel (worst total +inf).
   synth::City city = testing::TinyCity();
-  RouterOptions unpruned = CsaOptions();
-  unpruned.bounded_relaxation = false;
-  Router pruned(&city.feed, CsaOptions());
-  Router full(&city.feed, unpruned);
+  Router csa(&city.feed, CsaOptions());
   Router oracle(&city.feed, testing::OracleOptions());
   std::vector<geo::Point> origins = SampleOrigins(city, 3, 3);
   std::vector<geo::Point> targets = SampleTargets(city, 4, 6);
+  for (const geo::Point& p : testing::StopPositions(city.feed, 5)) {
+    targets.push_back(p);
+  }
   for (const geo::Point& origin : origins) {
     for (gtfs::TimeOfDay depart :
          {gtfs::MakeTime(7, 45), gtfs::MakeTime(9, 3) + 41}) {
-      std::vector<Journey> a =
-          pruned.RouteMany(origin, targets, gtfs::Day::kWednesday, depart);
-      std::vector<Journey> b =
-          full.RouteMany(origin, targets, gtfs::Day::kWednesday, depart);
-      std::vector<Journey> want =
-          oracle.RouteMany(origin, targets, gtfs::Day::kWednesday, depart);
-      for (size_t t = 0; t < targets.size(); ++t) {
-        ExpectSameJourney(a[t], b[t]);
-        ExpectEquivalentJourney(want[t], a[t]);
+      for (const geo::Point& target : targets) {
+        const std::vector<geo::Point> unpruned = {target,
+                                                  testing::kUnreachablePoint};
+        Journey csa_pruned =
+            csa.Route(origin, target, gtfs::Day::kWednesday, depart);
+        Journey csa_full = csa.RouteMany(origin, unpruned,
+                                         gtfs::Day::kWednesday, depart)[0];
+        Journey oracle_pruned =
+            oracle.Route(origin, target, gtfs::Day::kWednesday, depart);
+        Journey oracle_full = oracle.RouteMany(
+            origin, unpruned, gtfs::Day::kWednesday, depart)[0];
+        ExpectSameJourney(csa_pruned, csa_full);
+        ExpectEquivalentJourney(oracle_full, csa_pruned);
+        ExpectEquivalentJourney(oracle_full, oracle_pruned);
       }
     }
   }

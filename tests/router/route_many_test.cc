@@ -92,12 +92,16 @@ TEST(RouteManyTest, MatchesPerTargetRouteOnSyntheticCity) {
 }
 
 TEST(RouteManyTest, BoundedRelaxationMatchesUnbounded) {
+  // Batched with the unreachable sentinel, a target's best total stays
+  // +inf, so RelaxLimit prunes nothing and the settle loop never breaks
+  // early: the unpruned search. The pruned Route must match it exactly.
   synth::City city = testing::TinyCity();
-  RouterOptions unbounded = testing::OracleOptions();
-  unbounded.bounded_relaxation = false;
   Router pruned(&city.feed, testing::OracleOptions());
-  Router full(&city.feed, unbounded);
+  Router full(&city.feed, testing::OracleOptions());
   QuerySet q = SampleQueries(city, /*seed=*/17);
+  for (const geo::Point& p : testing::StopPositions(city.feed, 5)) {
+    q.targets.push_back(p);
+  }
 
   for (const geo::Point& origin : q.origins) {
     for (const geo::Point& target : q.targets) {
@@ -105,59 +109,11 @@ TEST(RouteManyTest, BoundedRelaxationMatchesUnbounded) {
            {gtfs::MakeTime(7, 45), gtfs::MakeTime(9, 3) + 41}) {
         Journey a = pruned.Route(origin, target, gtfs::Day::kWednesday,
                                  depart);
-        Journey b = full.Route(origin, target, gtfs::Day::kWednesday, depart);
-        ExpectSameJourney(a, b);
-      }
-    }
-  }
-}
-
-TEST(RouteManyTest, BoardingRouteBreakMatchesFullWindowScan) {
-  // The route-break scan skips only departures whose route already claimed
-  // an earlier (FIFO-dominant) boarding, so it must be exactly equivalent
-  // to walking the full max_boarding_wait_s window.
-  synth::City city = testing::TinyCity();
-  RouterOptions full_scan = testing::OracleOptions();
-  full_scan.boarding_route_break = false;
-  full_scan.bounded_relaxation = false;
-  Router pruned(&city.feed, testing::OracleOptions());
-  Router full(&city.feed, full_scan);
-  QuerySet q = SampleQueries(city, /*seed=*/19);
-
-  for (const geo::Point& origin : q.origins) {
-    for (const geo::Point& target : q.targets) {
-      for (gtfs::TimeOfDay depart :
-           {gtfs::MakeTime(8, 12) + 7, gtfs::MakeTime(17, 30)}) {
-        Journey a = pruned.Route(origin, target, gtfs::Day::kFriday, depart);
-        Journey b = full.Route(origin, target, gtfs::Day::kFriday, depart);
-        ExpectSameJourney(a, b);
-      }
-    }
-  }
-}
-
-TEST(RouteManyTest, HeapAndBucketQueuesAgreeOnArrivals) {
-  // The two queue disciplines settle equal-time entries in different
-  // orders, which may tie-break equal-cost journeys into different leg
-  // decompositions — but earliest arrivals (hence feasibility and journey
-  // time) are discipline-invariant.
-  synth::City city = testing::TinyCity();
-  RouterOptions heap_opts = testing::OracleOptions();
-  heap_opts.bucket_queue = false;
-  Router bucket(&city.feed, testing::OracleOptions());
-  Router heap(&city.feed, heap_opts);
-  QuerySet q = SampleQueries(city, /*seed=*/31);
-
-  for (const geo::Point& origin : q.origins) {
-    for (const geo::Point& target : q.targets) {
-      for (gtfs::TimeOfDay depart :
-           {gtfs::MakeTime(7, 58), gtfs::MakeTime(12, 4) + 13}) {
-        Journey a = bucket.Route(origin, target, gtfs::Day::kTuesday, depart);
-        Journey b = heap.Route(origin, target, gtfs::Day::kTuesday, depart);
-        EXPECT_EQ(a.feasible, b.feasible);
-        EXPECT_EQ(a.depart, b.depart);
-        EXPECT_EQ(a.arrive, b.arrive);
-        EXPECT_EQ(a.JourneyTimeSeconds(), b.JourneyTimeSeconds());
+        std::vector<Journey> b =
+            full.RouteMany(origin, {target, testing::kUnreachablePoint},
+                           gtfs::Day::kWednesday, depart);
+        ASSERT_FALSE(b[1].feasible);
+        ExpectSameJourney(a, b[0]);
       }
     }
   }
