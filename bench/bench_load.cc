@@ -4,11 +4,13 @@
 //
 //   measure_eval — the tentpole perf claim. A 16-member cost sweep (journey
 //       time + 15 GAC variants) over one (category, seed) is evaluated two
-//       ways on one cold AqServer: the scalar foil (16 per-member
+//       ways on a cold AqServer: the scalar foil (16 per-member
 //       QueryUncached calls, sharing nothing) and QueryBatch (ONE labeling
-//       pass, per-member SoA derivation through ml::kernels). Every member
-//       pair is gated bit-identical first; then the speedup must clear the
-//       10x floor or the bench exits non-zero.
+//       pass, per-member SoA derivation through ml::kernels). Both run in
+//       each of kEvalRounds rounds on a fresh server, and each reports its
+//       fastest round. Every member pair of every round is gated
+//       bit-identical first; then the speedup of the fastest rounds must
+//       clear the 10x floor or the bench exits non-zero.
 //
 //   load — an open-loop (arrival-scheduled) generator drives an AqServer at
 //       a fixed target QPS over the warmed batch mix. Open-loop means a
@@ -27,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +44,12 @@ namespace staq::bench {
 namespace {
 
 constexpr double kSpeedupFloor = 10.0;
+
+/// Cold rounds of measure_eval. Each side reports its fastest round — the
+/// one least disturbed by other load on the host — and the rounds
+/// interleave the two sides, so the speedup compares paths, not moments of
+/// host load.
+constexpr int kEvalRounds = 5;
 
 /// The 16-member cost sweep: journey time + a 3x5 grid of GAC variants
 /// (wait-time weight x transfer penalty) — the "same journeys, different
@@ -202,8 +211,8 @@ exp::RunResult RunLoadBench() {
                  built.status().ToString().c_str());
     return {1, ""};
   }
-  const size_t num_zones = built.value().zones.size();
-  serve::AqServer eval_server(std::move(built).value(), gtfs::WeekdayAmPeak());
+  const synth::City eval_city = std::move(built).value();
+  const size_t num_zones = eval_city.zones.size();
 
   core::AccessQueryOptions base;
   base.exact = true;
@@ -216,55 +225,68 @@ exp::RunResult RunLoadBench() {
   sweep.cost_members = members;
   const std::vector<serve::AqRequest> sweep_members = serve::ExpandBatch(sweep);
 
-  // Both sides start cold. The batch runs first on the fresh server (empty
-  // result cache, no label state, no routing context); the foil's
-  // QueryUncached calls then bypass every cache and label memo, reusing
-  // only the routing context the batch released — which can only make the
-  // foil faster and the gate stricter.
-  util::Stopwatch columnar_watch;
-  auto columnar = eval_server.QueryBatch(sweep);
-  const double columnar_s = columnar_watch.ElapsedSeconds();
-  for (const auto& result : columnar) {
-    if (!result.ok()) {
-      std::fprintf(stderr, "columnar evaluation failed: %s\n",
-                   result.status().ToString().c_str());
-      return {1, ""};
+  // kEvalRounds rounds, each on a fresh AqServer so both sides start cold.
+  // The batch runs first (empty result cache, no label state, no routing
+  // context); the foil's QueryUncached calls then bypass every cache and
+  // label memo, reusing only the routing context the batch released —
+  // which can only make the foil faster and the gate stricter. Each side
+  // reports its fastest round and its slowest.
+  double columnar_s = std::numeric_limits<double>::infinity();
+  double scalar_s = columnar_s;
+  double columnar_s_max = 0.0, scalar_s_max = 0.0;
+  for (int round = 0; round < kEvalRounds; ++round) {
+    serve::AqServer eval_server(eval_city, gtfs::WeekdayAmPeak());
+    util::Stopwatch columnar_watch;
+    auto columnar = eval_server.QueryBatch(sweep);
+    const double columnar_round_s = columnar_watch.ElapsedSeconds();
+    for (const auto& result : columnar) {
+      if (!result.ok()) {
+        std::fprintf(stderr, "columnar evaluation failed: %s\n",
+                     result.status().ToString().c_str());
+        return {1, ""};
+      }
     }
-  }
 
-  std::vector<core::AccessQueryResult> scalar;
-  util::Stopwatch scalar_watch;
-  for (const serve::AqRequest& member : sweep_members) {
-    auto result = eval_server.QueryUncached(member);
-    if (!result.ok()) {
-      std::fprintf(stderr, "scalar foil failed: %s\n",
-                   result.status().ToString().c_str());
-      return {1, ""};
+    std::vector<core::AccessQueryResult> scalar;
+    util::Stopwatch scalar_watch;
+    for (const serve::AqRequest& member : sweep_members) {
+      auto result = eval_server.QueryUncached(member);
+      if (!result.ok()) {
+        std::fprintf(stderr, "scalar foil failed: %s\n",
+                     result.status().ToString().c_str());
+        return {1, ""};
+      }
+      scalar.push_back(std::move(result).value());
     }
-    scalar.push_back(std::move(result).value());
-  }
-  const double scalar_s = scalar_watch.ElapsedSeconds();
+    const double scalar_round_s = scalar_watch.ElapsedSeconds();
 
-  bool bit_identical = scalar.size() == columnar.size();
-  for (size_t i = 0; bit_identical && i < members.size(); ++i) {
-    bit_identical = BitIdentical(scalar[i], columnar[i].value());
-    if (!bit_identical) {
-      std::fprintf(stderr,
-                   "GATE FAILED (measure_eval): member %zu differs between "
-                   "the columnar path and the scalar foil\n",
-                   i);
+    // Correctness gate, every round: never relaxed.
+    if (scalar.size() != columnar.size()) return {1, ""};
+    for (size_t i = 0; i < scalar.size(); ++i) {
+      if (!BitIdentical(scalar[i], columnar[i].value())) {
+        std::fprintf(stderr,
+                     "GATE FAILED (measure_eval): member %zu differs between "
+                     "the columnar path and the scalar foil\n",
+                     i);
+        return {1, ""};
+      }
     }
+    columnar_s = std::min(columnar_s, columnar_round_s);
+    columnar_s_max = std::max(columnar_s_max, columnar_round_s);
+    scalar_s = std::min(scalar_s, scalar_round_s);
+    scalar_s_max = std::max(scalar_s_max, scalar_round_s);
   }
-  if (!bit_identical) return {1, ""};  // correctness gate: never relaxed
-
   const double speedup = columnar_s > 0.0 ? scalar_s / columnar_s : 0.0;
   const bool speedup_gate = speedup >= kSpeedupFloor;
-  std::printf("  measure_eval: %zu members x %zu zones\n", members.size(),
-              num_zones);
-  std::printf("    scalar foil   %8.3f s  (%7.1f members/s)\n", scalar_s,
-              static_cast<double>(members.size()) / scalar_s);
-  std::printf("    columnar      %8.3f s  (%7.1f members/s)\n", columnar_s,
-              static_cast<double>(members.size()) / columnar_s);
+  std::printf("  measure_eval: %zu members x %zu zones, best of %d "
+              "interleaved cold rounds (spread = slowest / fastest - 1)\n",
+              members.size(), num_zones, kEvalRounds);
+  std::printf("    scalar foil   %8.3f s  (%7.1f members/s, spread %5.1f%%)\n",
+              scalar_s, static_cast<double>(members.size()) / scalar_s,
+              100.0 * (scalar_s_max / scalar_s - 1.0));
+  std::printf("    columnar      %8.3f s  (%7.1f members/s, spread %5.1f%%)\n",
+              columnar_s, static_cast<double>(members.size()) / columnar_s,
+              100.0 * (columnar_s_max / columnar_s - 1.0));
   std::printf("    speedup       %8.2fx  (floor %.0fx)  %s\n", speedup,
               kSpeedupFloor, speedup_gate ? "PASS" : "FAIL");
   std::printf("    all %zu members bit-identical to the scalar foil\n",
@@ -388,15 +410,20 @@ exp::RunResult RunLoadBench() {
   w.Uint("workers", server.num_threads());
   w.BeginObject("measure_eval");
   w.Uint("members", members.size());
+  w.Int("rounds", kEvalRounds);
   w.Fixed("scalar_s", scalar_s, 6);
+  w.Fixed("scalar_s_max", scalar_s_max, 6);
+  w.Fixed("scalar_spread", scalar_s_max / scalar_s - 1.0, 4);
   w.Fixed("columnar_s", columnar_s, 6);
+  w.Fixed("columnar_s_max", columnar_s_max, 6);
+  w.Fixed("columnar_spread", columnar_s_max / columnar_s - 1.0, 4);
   w.Fixed("scalar_members_per_s",
           static_cast<double>(members.size()) / scalar_s, 2);
   w.Fixed("columnar_members_per_s",
           static_cast<double>(members.size()) / columnar_s, 2);
   w.Fixed("speedup", speedup, 4);
   w.Fixed("speedup_floor", kSpeedupFloor, 1);
-  w.Bool("bit_identical", bit_identical);
+  w.Bool("bit_identical", true);  // every round passed the gate above
   w.Bool("gate_passed", speedup_gate);
   w.EndObject();
   w.BeginObject("load");

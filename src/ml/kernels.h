@@ -30,7 +30,7 @@ void Gemm(size_t m, size_t k, size_t n, const double* a, size_t lda,
 
 /// C (m x n, ldc) += A^T * B for A (l x m, lda) and B (l x n, ldb): rank-1
 /// updates in ascending-l order, so each C element accumulates ascending l
-/// — the order the per-sample gradient loops in the NN models used.
+/// — the order a per-sample gradient loop accumulates in.
 void GemmAtB(size_t l, size_t m, size_t n, const double* a, size_t lda,
              const double* b, size_t ldb, double* c, size_t ldc);
 

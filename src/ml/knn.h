@@ -2,8 +2,9 @@
 //
 // Doubles as (a) a standalone baseline and (b) the component regressor of
 // COREG (Zhou & Li 2005), which pairs two kNN regressors with different
-// Minkowski orders. The incremental KnnCore supports COREG's pseudo-label
-// additions.
+// Minkowski orders. KnnCore only grows: COREG adds pseudo-labels with Add
+// and asks leave-one-out questions through SelectTopK's `exclude` and
+// PredictFromList's tentative extra example.
 //
 // Storage is one flat SoA buffer (size() x dim() doubles) so distance
 // loops stream contiguously; neighbour selection runs through a reusable
@@ -68,8 +69,6 @@ class KnnCore {
   void Add(const std::vector<double>& features, double target) {
     Add(features.data(), features.size(), target);
   }
-  /// Removes the most recently added example (for tentative additions).
-  void RemoveLast();
   size_t size() const { return targets_.size(); }
   size_t dim() const { return dim_; }
   const KnnConfig& config() const { return config_; }
@@ -79,20 +78,10 @@ class KnnCore {
   double PredictOne(const double* row, size_t dim,
                     NeighborScratch* scratch) const;
 
-  /// Predicts for one row while ignoring the stored example at `exclude`
-  /// (leave-one-out evaluation). Requires at least 2 examples.
-  double PredictOneExcluding(const double* row, size_t dim,
-                             uint32_t exclude) const;
-  double PredictOneExcluding(const double* row, size_t dim, uint32_t exclude,
-                             NeighborScratch* scratch) const;
-
-  /// Indices (into insertion order) of the k nearest stored examples,
-  /// optionally skipping `exclude`.
-  std::vector<uint32_t> Neighbors(const double* row, size_t dim,
-                                  uint32_t exclude = UINT32_MAX) const;
-
   /// Fills scratch->heap with the k nearest (distance, index) pairs for
-  /// `row`, sorted ascending; returns how many were found.
+  /// `row`, sorted ascending, skipping the stored example at `exclude`
+  /// (UINT32_MAX skips none: pass an index for leave-one-out); returns how
+  /// many were found.
   size_t SelectTopK(const double* row, size_t dim, uint32_t exclude,
                     NeighborScratch* scratch) const;
 

@@ -5,6 +5,12 @@
 // zones toward those of a teacher network, whose weights are an exponential
 // moving average of the student's. The consistency weight ramps up over
 // training (the sigmoid-shaped ramp from the original paper).
+//
+// Training runs each mini-batch through batched GEMM passes
+// (DenseNet::ForwardBatch/BackwardBatch) while drawing random numbers and
+// accumulating gradients in one-sample-at-a-time order, so a fit is
+// bit-identical to the per-sample reference the tests and bench_ml check
+// against (tests/testing/ml_reference.h).
 #pragma once
 
 #include <memory>
@@ -29,11 +35,6 @@ struct MeanTeacherConfig {
   /// standardised, so this is in units of feature sigma).
   double input_noise = 0.1;
   uint64_t seed = 13;
-  /// Benchmark foil: the original one-sample-at-a-time forward/backward
-  /// loops instead of batched GEMM passes. Identical results, much more
-  /// slowly (RNG draw order and gradient accumulation order are preserved
-  /// by the batched path).
-  bool per_sample_updates = false;
 };
 
 class MeanTeacher : public SsrModel {

@@ -15,8 +15,8 @@ namespace {
 /// Samples per gradient chunk. Fixed — never derived from the thread
 /// count — so the chunk layout, and with it the chunk-order gradient
 /// reduction, is identical for every MlpConfig::threads value. At the
-/// default batch size (16) a batch is a single chunk, which makes the
-/// batched path bit-identical to the per-sample foil as well.
+/// default batch size (16) a batch is a single chunk, which makes the fit
+/// bit-identical to the per-sample reference as well.
 constexpr size_t kGradChunkSamples = 32;
 
 }  // namespace
@@ -44,34 +44,6 @@ DenseNet::DenseNet(size_t input_dim, std::vector<size_t> hidden,
   }
 }
 
-double DenseNet::Forward(const double* x,
-                         std::vector<std::vector<double>>* activations) const {
-  if (activations) {
-    activations->assign(dims_.size() - 1, {});
-  }
-  std::vector<double> current(x, x + dims_[0]);
-  for (size_t l = 0; l + 1 < dims_.size(); ++l) {
-    size_t in = dims_[l], out = dims_[l + 1];
-    const double* w = params_.data() + layer_offset_[l];
-    const double* b = w + in * out;
-    std::vector<double> next(out, 0.0);
-    for (size_t i = 0; i < in; ++i) {
-      double xi = current[i];
-      if (xi == 0.0) continue;
-      const double* w_row = w + i * out;
-      for (size_t j = 0; j < out; ++j) next[j] += xi * w_row[j];
-    }
-    bool is_output = (l + 2 == dims_.size());
-    for (size_t j = 0; j < out; ++j) {
-      next[j] += b[j];
-      if (!is_output && next[j] < 0.0) next[j] = 0.0;  // ReLU
-    }
-    if (activations) (*activations)[l] = next;
-    current = std::move(next);
-  }
-  return current[0];
-}
-
 void DenseNet::ForwardBatch(const double* x, size_t batch,
                             DenseNetScratch* scratch) const {
   const size_t num_layers = dims_.size() - 1;
@@ -84,8 +56,7 @@ void DenseNet::ForwardBatch(const double* x, size_t batch,
     const double* b = w + in * out;
     Matrix& a = scratch->acts[l];
     a.Reset(batch, out);
-    // Accumulates ascending-k from zero, then bias, then ReLU — the same
-    // per-element order Forward() uses for one sample.
+    // Accumulates ascending-k from zero, then bias, then ReLU.
     kernels::GemmAccumulate(batch, in, out, current, current_ld, w, out,
                             a.data().data(), out);
     const bool is_output = (l + 1 == num_layers);
@@ -98,48 +69,6 @@ void DenseNet::ForwardBatch(const double* x, size_t batch,
     }
     current = a.data().data();
     current_ld = out;
-  }
-}
-
-void DenseNet::Backward(const double* x,
-                        const std::vector<std::vector<double>>& activations,
-                        double dloss_dout, std::vector<double>* grad) const {
-  STAQ_CHECK(grad->size() == params_.size(),
-             "DenseNet::Backward: gradient size differs from parameters");
-  size_t num_layers = dims_.size() - 1;
-  std::vector<double> delta{dloss_dout};  // gradient wrt layer output
-
-  for (size_t l = num_layers; l-- > 0;) {
-    size_t in = dims_[l], out = dims_[l + 1];
-    const double* input =
-        (l == 0) ? x : activations[l - 1].data();
-    const double* w = params_.data() + layer_offset_[l];
-    double* gw = grad->data() + layer_offset_[l];
-    double* gb = gw + in * out;
-
-    // ReLU mask on hidden-layer outputs (output layer is linear).
-    bool is_output = (l + 1 == num_layers);
-    std::vector<double> local = delta;
-    if (!is_output) {
-      for (size_t j = 0; j < out; ++j) {
-        if (activations[l][j] <= 0.0) local[j] = 0.0;
-      }
-    }
-
-    for (size_t j = 0; j < out; ++j) gb[j] += local[j];
-    std::vector<double> next_delta(in, 0.0);
-    for (size_t i = 0; i < in; ++i) {
-      double xi = input[i];
-      const double* w_row = w + i * out;
-      double* gw_row = gw + i * out;
-      double acc = 0.0;
-      for (size_t j = 0; j < out; ++j) {
-        gw_row[j] += xi * local[j];
-        acc += w_row[j] * local[j];
-      }
-      next_delta[i] = acc;
-    }
-    delta = std::move(next_delta);
   }
 }
 
@@ -184,7 +113,7 @@ void DenseNet::BackwardBatch(const double* x, size_t batch,
                      out);
     if (l > 0) {
       // next_delta(r, .) = W local(r, .): one Gemv per sample, each row
-      // accumulating ascending j as the per-sample loop did.
+      // accumulating ascending j as a per-sample loop does.
       scratch->next_delta.Reset(batch, in);
       for (size_t r = 0; r < batch; ++r) {
         kernels::Gemv(in, out, w, out, local.row(r),
@@ -242,33 +171,11 @@ util::Status MlpRegressor::Fit(const Dataset& data) {
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::vector<double> grad(net_->num_params());
 
-  if (config_.per_sample_updates) {
-    // Foil: the original scalar path, one forward/backward per sample.
-    std::vector<std::vector<double>> acts;
-    for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-      rng.Shuffle(&order);
-      for (size_t start = 0; start < n; start += config_.batch_size) {
-        size_t end = std::min(n, start + config_.batch_size);
-        std::fill(grad.begin(), grad.end(), 0.0);
-        for (size_t b = start; b < end; ++b) {
-          size_t i = order[b];
-          double pred = net_->Forward(xs.row(i), &acts);
-          // d(0.5 (pred - y)^2)/dpred, averaged over the batch.
-          double dloss = (pred - ys[i]) / static_cast<double>(end - start);
-          net_->Backward(xs.row(i), acts, dloss, &grad);
-        }
-        opt.Step(&net_->params(), grad);
-      }
-    }
-    x_all_scaled_ = scaler_.Transform(data.x);
-    return util::Status::OK();
-  }
-
-  // Batched path. Each batch is cut into fixed-size sample chunks; every
-  // chunk gathers its rows, runs one batched forward/backward, and (when
-  // there is more than one chunk) accumulates into its own buffer. The
-  // buffers reduce in chunk order, so the gradient — and the whole fit —
-  // is identical for any threads value.
+  // Each batch is cut into fixed-size sample chunks; every chunk gathers
+  // its rows, runs one batched forward/backward, and (when there is more
+  // than one chunk) accumulates into its own buffer. The buffers reduce in
+  // chunk order, so the gradient — and the whole fit — is identical for
+  // any threads value.
   struct ChunkSlot {
     Matrix x;                   // gathered input rows
     DenseNetScratch scratch;

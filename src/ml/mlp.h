@@ -7,10 +7,10 @@
 //
 // Training runs mini-batches through the blocked GEMM kernels
 // (ForwardBatch/BackwardBatch); per parameter, gradient terms accumulate in
-// ascending sample order — exactly the order the per-sample loops used —
-// so batched results match the original implementation and are
-// deterministic per (seed, batch size). The per-sample path is kept behind
-// MlpConfig::per_sample_updates as a benchmark foil.
+// ascending sample order — the order a one-sample-at-a-time loop uses — so
+// results are deterministic per (seed, batch size) and, at the default
+// batch size, bit-identical to the per-sample reference fit the tests and
+// bench_ml check against (tests/testing/ml_reference.h).
 #pragma once
 
 #include <cstdint>
@@ -44,30 +44,17 @@ class DenseNet {
   std::vector<double>& params() { return params_; }
   const std::vector<double>& params() const { return params_; }
 
-  /// Forward pass for one sample. When `activations` is non-null it
-  /// receives the post-nonlinearity outputs of every layer (needed by
-  /// Backward).
-  double Forward(const double* x,
-                 std::vector<std::vector<double>>* activations = nullptr) const;
-
-  /// Accumulates dL/dparams into `grad` (same layout/size as params) given
-  /// the upstream scalar gradient dL/doutput. `activations` must come from
-  /// Forward() on the same x.
-  void Backward(const double* x,
-                const std::vector<std::vector<double>>& activations,
-                double dloss_dout, std::vector<double>* grad) const;
-
   /// Forward pass for `batch` samples in row-major `x` (batch x
   /// input_dim()); activations land in scratch->acts, whose back() is the
-  /// batch x 1 output column. Per sample this computes exactly what
-  /// Forward() computes.
+  /// batch x 1 output column. Per element, products accumulate in
+  /// ascending input order from zero, then the bias, then the ReLU.
   void ForwardBatch(const double* x, size_t batch,
                     DenseNetScratch* scratch) const;
 
   /// Accumulates dL/dparams into `grad` for a batch, given the per-sample
   /// upstream gradients `dloss` (size batch). scratch->acts must come from
   /// ForwardBatch on the same x. Per parameter, sample contributions
-  /// accumulate in ascending batch order — the per-sample Backward order.
+  /// accumulate in ascending batch order.
   void BackwardBatch(const double* x, size_t batch,
                      const std::vector<double>& dloss,
                      std::vector<double>* grad,
@@ -111,9 +98,6 @@ struct MlpConfig {
   /// whose partial gradients reduce in chunk order, so Fit is bit-identical
   /// for every value, including 1.
   int threads = 1;
-  /// Benchmark foil: the original one-sample-at-a-time forward/backward.
-  /// Identical results at the default batch size, much more slowly.
-  bool per_sample_updates = false;
 };
 
 /// Supervised MLP on the labeled rows (the paper's strongest model).

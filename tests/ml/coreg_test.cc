@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "testing/ml_reference.h"
 #include "testing/test_data.h"
 
 namespace staq::ml {
@@ -106,19 +107,30 @@ TEST(CoregTest, ExhaustsReplenishedPool) {
 }
 
 // The incremental-cache screening must reproduce the original full-rescan
-// screening bit for bit — same pseudo-label choices, same final model.
+// screening (the test-side reference) bit for bit — same pseudo-label
+// choices, same final model. The last input is bench_ml's perfgate cell
+// size (322 zones, 20 features, 16 labeled) at the default configuration.
 TEST(CoregTest, FastScreeningMatchesSeedScreeningExactly) {
-  for (uint64_t seed : {29u, 30u, 31u}) {
-    auto data = testing::LinearDataset(160, 3, 24, 0.15, seed);
-    CoregConfig fast_config;
-    fast_config.max_iterations = 30;
-    CoregConfig seed_config = fast_config;
-    seed_config.use_seed_screening = true;
-    Coreg fast(fast_config), reference(seed_config);
+  struct Input {
+    size_t n, d, labeled;
+    uint64_t seed;
+    int max_iterations;
+  };
+  const int default_iterations = CoregConfig{}.max_iterations;
+  for (const Input& in :
+       {Input{160, 3, 24, 29, 30}, Input{160, 3, 24, 30, 30},
+        Input{160, 3, 24, 31, 30}, Input{322, 20, 16, 32, default_iterations}}) {
+    auto data = testing::LinearDataset(in.n, in.d, in.labeled, 0.15, in.seed);
+    CoregConfig config;
+    config.max_iterations = in.max_iterations;
+    Coreg fast(config);
     ASSERT_TRUE(fast.Fit(data).ok());
-    ASSERT_TRUE(reference.Fit(data).ok());
-    EXPECT_EQ(fast.pseudo_labels_added(), reference.pseudo_labels_added());
-    EXPECT_EQ(fast.Predict(), reference.Predict()) << "seed " << seed;
+    const testing::ReferenceCoreg reference =
+        testing::ReferenceCoregFit(data, config);
+    EXPECT_EQ(fast.pseudo_labels_added(), reference.pseudo_labels_added)
+        << "seed " << in.seed;
+    EXPECT_GT(reference.pseudo_labels_added, 0) << "seed " << in.seed;
+    EXPECT_EQ(fast.Predict(), reference.Predict()) << "seed " << in.seed;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "testing/test_data.h"
@@ -56,10 +57,12 @@ TEST(KnnCoreTest, NeighborsExcludeIndex) {
   core.Add({0.1}, 2.0);
   core.Add({5.0}, 3.0);
   double q[1] = {0.0};
-  auto with = core.Neighbors(q, 1);
-  auto without = core.Neighbors(q, 1, /*exclude=*/0);
-  EXPECT_EQ(with[0], 0u);
-  for (uint32_t idx : without) EXPECT_NE(idx, 0u);
+  NeighborScratch scratch;
+  ASSERT_EQ(core.SelectTopK(q, 1, UINT32_MAX, &scratch), 2u);
+  EXPECT_EQ(scratch.heap[0].second, 0u);
+  ASSERT_EQ(core.SelectTopK(q, 1, /*exclude=*/0, &scratch), 2u);
+  EXPECT_EQ(scratch.heap[0].second, 1u);
+  EXPECT_EQ(scratch.heap[1].second, 2u);
 }
 
 TEST(KnnCoreTest, PredictExcludingIgnoresSelf) {
@@ -67,17 +70,9 @@ TEST(KnnCoreTest, PredictExcludingIgnoresSelf) {
   core.Add({0.0}, 100.0);
   core.Add({1.0}, 7.0);
   double q[1] = {0.0};
-  EXPECT_NEAR(core.PredictOneExcluding(q, 1, 0), 7.0, 1e-9);
-}
-
-TEST(KnnCoreTest, RemoveLastUndoesAdd) {
-  KnnCore core(KnnConfig{1, 2.0, true});
-  core.Add({0.0}, 1.0);
-  core.Add({0.01}, 50.0);
-  core.RemoveLast();
-  EXPECT_EQ(core.size(), 1u);
-  double q[1] = {0.0};
-  EXPECT_DOUBLE_EQ(core.PredictOne(q, 1), 1.0);
+  NeighborScratch scratch;
+  const size_t len = core.SelectTopK(q, 1, /*exclude=*/0, &scratch);
+  EXPECT_NEAR(core.PredictFromList(scratch.heap.data(), len), 7.0, 1e-9);
 }
 
 TEST(KnnRegressorTest, FitsSmoothFunction) {
@@ -235,8 +230,11 @@ TEST(KnnCacheTest, ScratchReuseMatchesAllocatingPath) {
     double q[3] = {rng.Uniform(-2, 2), rng.Uniform(-2, 2),
                    rng.Uniform(-2, 2)};
     EXPECT_EQ(core.PredictOne(q, 3, &scratch), core.PredictOne(q, 3));
-    EXPECT_EQ(core.PredictOneExcluding(q, 3, 0, &scratch),
-              core.PredictOneExcluding(q, 3, 0));
+    NeighborScratch fresh;
+    const size_t len = core.SelectTopK(q, 3, /*exclude=*/0, &scratch);
+    ASSERT_EQ(core.SelectTopK(q, 3, /*exclude=*/0, &fresh), len);
+    EXPECT_TRUE(std::equal(scratch.heap.begin(), scratch.heap.begin() + len,
+                           fresh.heap.begin()));
   }
 }
 

@@ -17,51 +17,83 @@ TEST(DenseNetTest, ParameterCountMatchesArchitecture) {
   EXPECT_EQ(net.input_dim(), 4u);
 }
 
+/// Output column of a batched forward pass over `batch` rows of `x`.
+std::vector<double> Outputs(const DenseNet& net, const double* x,
+                            size_t batch) {
+  DenseNetScratch scratch;
+  net.ForwardBatch(x, batch, &scratch);
+  std::vector<double> out(batch);
+  for (size_t r = 0; r < batch; ++r) out[r] = scratch.acts.back()(r, 0);
+  return out;
+}
+
+// Three input rows for a 3-feature net; batch 1 uses the first.
+constexpr double kRows[9] = {0.7, -1.2, 0.3,  //
+                             -0.4, 0.9, 1.5,  //
+                             1.1, 0.2, -0.8};
+
 TEST(DenseNetTest, ForwardIsDeterministic) {
   util::Rng rng(2);
   DenseNet net(3, {8}, &rng);
-  double x[3] = {1.0, -0.5, 2.0};
-  EXPECT_DOUBLE_EQ(net.Forward(x), net.Forward(x));
+  DenseNetScratch scratch;  // reused across passes of both sizes
+  for (size_t batch : {1u, 3u}) {
+    const std::vector<double> first = Outputs(net, kRows, batch);
+    net.ForwardBatch(kRows, batch, &scratch);
+    for (size_t r = 0; r < batch; ++r) {
+      EXPECT_EQ(scratch.acts.back()(r, 0), first[r]) << "batch " << batch;
+      // A row's output does not depend on the rows batched with it.
+      EXPECT_EQ(first[r], Outputs(net, kRows + 3 * r, 1)[0]);
+    }
+  }
 }
 
 TEST(DenseNetTest, GradientMatchesFiniteDifference) {
   util::Rng rng(3);
   DenseNet net(3, {5, 4}, &rng);
-  double x[3] = {0.7, -1.2, 0.3};
+  for (size_t batch : {1u, 3u}) {
+    // dloss = 1 per sample: the gradient of the summed outputs.
+    DenseNetScratch scratch;
+    net.ForwardBatch(kRows, batch, &scratch);
+    std::vector<double> grad(net.num_params(), 0.0);
+    net.BackwardBatch(kRows, batch, std::vector<double>(batch, 1.0), &grad,
+                      &scratch);
 
-  std::vector<std::vector<double>> acts;
-  double out = net.Forward(x, &acts);
-  std::vector<double> grad(net.num_params(), 0.0);
-  net.Backward(x, acts, /*dloss_dout=*/1.0, &grad);  // gradient of output
-
-  const double eps = 1e-6;
-  // Spot-check a spread of parameters against central differences.
-  for (size_t p = 0; p < net.num_params(); p += 7) {
-    double saved = net.params()[p];
-    net.params()[p] = saved + eps;
-    double up = net.Forward(x);
-    net.params()[p] = saved - eps;
-    double down = net.Forward(x);
-    net.params()[p] = saved;
-    double numeric = (up - down) / (2 * eps);
-    EXPECT_NEAR(grad[p], numeric, 1e-5)
-        << "param " << p << " analytic " << grad[p] << " numeric " << numeric;
+    auto summed = [&] {
+      double sum = 0.0;
+      for (double v : Outputs(net, kRows, batch)) sum += v;
+      return sum;
+    };
+    const double eps = 1e-6;
+    // Spot-check a spread of parameters against central differences.
+    for (size_t p = 0; p < net.num_params(); p += 7) {
+      const double saved = net.params()[p];
+      net.params()[p] = saved + eps;
+      const double up = summed();
+      net.params()[p] = saved - eps;
+      const double down = summed();
+      net.params()[p] = saved;
+      const double numeric = (up - down) / (2 * eps);
+      EXPECT_NEAR(grad[p], numeric, 1e-5)
+          << "batch " << batch << " param " << p << " analytic " << grad[p]
+          << " numeric " << numeric;
+    }
   }
-  (void)out;
 }
 
 TEST(DenseNetTest, BackwardAccumulates) {
   util::Rng rng(4);
-  DenseNet net(2, {4}, &rng);
-  double x[2] = {1.0, 1.0};
-  std::vector<std::vector<double>> acts;
-  net.Forward(x, &acts);
-  std::vector<double> grad(net.num_params(), 0.0);
-  net.Backward(x, acts, 1.0, &grad);
-  std::vector<double> once = grad;
-  net.Backward(x, acts, 1.0, &grad);
-  for (size_t p = 0; p < grad.size(); ++p) {
-    EXPECT_NEAR(grad[p], 2 * once[p], 1e-12);
+  DenseNet net(3, {4}, &rng);
+  for (size_t batch : {1u, 3u}) {
+    DenseNetScratch scratch;
+    net.ForwardBatch(kRows, batch, &scratch);
+    const std::vector<double> dloss(batch, 1.0);
+    std::vector<double> grad(net.num_params(), 0.0);
+    net.BackwardBatch(kRows, batch, dloss, &grad, &scratch);
+    const std::vector<double> once = grad;
+    net.BackwardBatch(kRows, batch, dloss, &grad, &scratch);
+    for (size_t p = 0; p < grad.size(); ++p) {
+      EXPECT_NEAR(grad[p], 2 * once[p], 1e-12) << "batch " << batch;
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include "ml/mean_teacher.h"
 #include "ml/mlp.h"
 #include "ml/parallel.h"
+#include "testing/ml_reference.h"
 #include "testing/test_data.h"
 
 namespace staq::ml {
@@ -91,30 +92,36 @@ TEST(ParallelMlpTest, ThreadCountDoesNotChangeMultiChunkFit) {
 TEST(ParallelMlpTest, BatchedMatchesPerSampleAtDefaultBatchSize) {
   // At the default batch size (16 <= one 32-sample chunk) the batched path
   // accumulates gradients in exactly the per-sample order, so it must be
-  // bit-identical to the original loop — threads included.
-  auto data = testing::LinearDataset(120, 3, 60, 0.1, 43);
-  MlpConfig batched;
-  batched.epochs = 30;
-  batched.threads = 8;
-  MlpConfig per_sample = batched;
-  per_sample.threads = 1;
-  per_sample.per_sample_updates = true;
-  MlpRegressor fast(batched), foil(per_sample);
-  ASSERT_TRUE(fast.Fit(data).ok());
-  ASSERT_TRUE(foil.Fit(data).ok());
-  EXPECT_EQ(fast.Predict(), foil.Predict());
+  // bit-identical to the per-sample reference — threads included. The
+  // second input is bench_ml's perfgate cell size (322 zones, 20 features,
+  // 16 labeled) at the default epochs and widths.
+  MlpConfig small;
+  small.epochs = 30;
+  for (const auto& [data, config] :
+       {std::pair{testing::LinearDataset(120, 3, 60, 0.1, 43), small},
+        std::pair{testing::LinearDataset(322, 20, 16, 0.1, 45), MlpConfig{}}}) {
+    MlpConfig batched = config;
+    batched.threads = 8;
+    MlpRegressor fast(batched);
+    ASSERT_TRUE(fast.Fit(data).ok());
+    EXPECT_EQ(fast.Predict(), testing::ReferenceMlpFit(data, config).Predict())
+        << data.num_instances() << " zones";
+  }
 }
 
 TEST(ParallelMeanTeacherTest, BatchedMatchesPerSample) {
-  auto data = testing::LinearDataset(150, 3, 40, 0.1, 44);
-  MeanTeacherConfig batched;
-  batched.epochs = 30;
-  MeanTeacherConfig per_sample = batched;
-  per_sample.per_sample_updates = true;
-  MeanTeacher fast(batched), foil(per_sample);
-  ASSERT_TRUE(fast.Fit(data).ok());
-  ASSERT_TRUE(foil.Fit(data).ok());
-  EXPECT_EQ(fast.Predict(), foil.Predict());
+  MeanTeacherConfig small;
+  small.epochs = 30;
+  for (const auto& [data, config] :
+       {std::pair{testing::LinearDataset(150, 3, 40, 0.1, 44), small},
+        std::pair{testing::LinearDataset(322, 20, 16, 0.1, 46),
+                  MeanTeacherConfig{}}}) {
+    MeanTeacher fast(config);
+    ASSERT_TRUE(fast.Fit(data).ok());
+    EXPECT_EQ(fast.Predict(),
+              testing::ReferenceMeanTeacherFit(data, config).Predict())
+        << data.num_instances() << " zones";
+  }
 }
 
 // Full-pipeline check: an access query answered with COREG must not depend
