@@ -1,7 +1,7 @@
 // SSR training throughput: fast kernels vs the reference fits.
 //
-// Training is the third cost component of Table II, and PR "fast SSR
-// kernels" rebuilt it: blocked GEMM/GEMV under ml::Matrix, incremental
+// Training is the third cost component of Table II, and the ml rebuild
+// made it fast: register-tiled GEMM kernels under ml::Matrix, incremental
 // cached kNN screening under COREG, and mini-batch forward/backward for the
 // neural models. Each model has one fit path in the library. The
 // algorithms they replaced live on as the test-side references in
@@ -20,15 +20,13 @@
 //
 // Every model fits and predicts at its default single thread, so both
 // sides of each ratio run on the calling thread and the ratio compares
-// code, not thread placement. (At the perfgate size, 322 zones, COREG's
-// 2-thread fit is slower than its 1-thread fit: the per-iteration pool
-// hand-offs outweigh the screening they split, and the 2-thread ratios
-// swung with how fast the pool threads woke.)
+// code, not thread placement.
 //
 // Gates: the COREG fit speedup over its reference must be >= 40x; the
 // binary exits non-zero otherwise, so CI can run it as a perf regression
-// test. bench/baselines/policy.rules holds the same floor and a floor on
-// COREG's predict speedup (reference serial PredictOne loop / Predict).
+// test. bench/baselines/policy.rules holds the same floor, a floor on
+// COREG's predict speedup (reference serial PredictOne loop / Predict)
+// and floors on the MLP and MT fit speedups.
 // Output: paper-style table on stdout and BENCH_ml.json in STAQ_BENCH_OUT.
 #include <algorithm>
 #include <cmath>

@@ -44,22 +44,9 @@ std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
                                        const std::vector<synth::Poi>& pois,
                                        double decay_scale_m) {
   std::vector<double> norms(zones.size(), 0.0);
-  for (size_t z = 0; z < zones.size(); ++z) {
-    for (const synth::Poi& poi : pois) {
-      norms[z] += DistanceDecay(geo::Distance(zones[z].centroid, poi.position),
-                                decay_scale_m);
-    }
-  }
-  return norms;
-}
-
-std::vector<double> StableGravityNormsColumnar(
-    const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
-    double decay_scale_m) {
-  std::vector<double> norms(zones.size(), 0.0);
   std::vector<double> column(zones.size());
   // Ascending-POI accumulation per element: each norms[z] sees the exact
-  // addition sequence of the scalar foil above (1.0 * x == x bitwise).
+  // addition sequence of the per-zone scalar loop (1.0 * x == x bitwise).
   for (const synth::Poi& poi : pois) {
     DistanceDecayColumn(zones, poi.position, decay_scale_m, column.data());
     ml::kernels::Axpy(zones.size(), 1.0, column.data(), norms.data());

@@ -44,17 +44,15 @@ uint32_t TodamSamplesPerPair(const GravityConfig& config,
 /// Freezing the normaliser — instead of re-normalising α over the current
 /// POI set — is what makes a POI add/remove perturb only that POI's trips,
 /// so incremental relabeling can be exact (see serve/scenario.h).
+///
+/// Columnar: one decay column per POI (DistanceDecayColumn) accumulated
+/// with an Axpy over all zones. Each norms[z] sums the same decays in the
+/// same ascending-POI order as a per-zone scalar loop, so the result is
+/// bit-identical to it (tests/testing/gravity_reference.h keeps that loop
+/// as the oracle).
 std::vector<double> StableGravityNorms(const std::vector<synth::Zone>& zones,
                                        const std::vector<synth::Poi>& pois,
                                        double decay_scale_m);
-
-/// Columnar StableGravityNorms: one decay column per POI accumulated with
-/// an Axpy over all zones. Each norms[z] sums the same decays in the same
-/// ascending-POI order as the scalar loop above (kept as the foil), so the
-/// result is bit-identical; the batch serve/query paths use this form.
-std::vector<double> StableGravityNormsColumnar(
-    const std::vector<synth::Zone>& zones, const std::vector<synth::Poi>& pois,
-    double decay_scale_m);
 
 /// Samples the trips of one (zone, poi) pair in the edit-stable mode. The
 /// RNG stream is keyed by the POI's *stable id* (not its index or the POI

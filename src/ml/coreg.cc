@@ -15,6 +15,13 @@ namespace {
 /// the thread count never changes which slot a candidate lands in.
 constexpr size_t kScreenChunkSlots = 8;
 
+/// Smallest pool screened across threads. An incremental Screen costs a
+/// few microseconds, so a pass over a smaller pool (the default pool is
+/// 100) finishes before pool workers would wake: at 322 zones a 2-thread
+/// fit ran slower than a serial one. Screening writes per-slot buffers
+/// reduced by a serial argmax either way, so this never changes results.
+constexpr size_t kMinParallelScreenSlots = 512;
+
 /// Incremental screening state for one component regressor. Holds, for
 /// every stored example, its leave-one-out neighbour list and cached
 /// squared LOO error, and for every pool candidate its top-k list; all of
@@ -172,7 +179,9 @@ util::Status Coreg::Fit(const Dataset& data) {
       // Read-only screening over per-slot buffers: safe to fan out, and
       // the serial ascending-slot argmax below keeps selection (and so
       // the whole fit) bit-identical for any thread count.
-      ForEachChunk(config_.threads, pool_end, kScreenChunkSlots,
+      const int screen_threads =
+          pool_end < kMinParallelScreenSlots ? 1 : config_.threads;
+      ForEachChunk(screen_threads, pool_end, kScreenChunkSlots,
                    [&](size_t, size_t begin, size_t end) {
                      NeighborScratch local;
                      for (size_t p = begin; p < end; ++p) {

@@ -32,9 +32,11 @@ struct CoregConfig {
   /// Size of the random unlabeled pool screened per iteration.
   size_t pool_size = 100;
   uint64_t seed = 11;
-  /// Worker count for pool screening and batch prediction. Candidates are
-  /// screened into per-slot buffers and reduced by a serial fixed-order
-  /// argmax, so Fit and Predict are bit-identical for every value.
+  /// Worker count for pool screening and batch prediction. Pools under a
+  /// fixed size (coreg.cc) screen serially, since waking workers costs more
+  /// than the pass. Candidates are screened into per-slot buffers and
+  /// reduced by a serial fixed-order argmax, so Fit and Predict are
+  /// bit-identical for every value.
   int threads = 1;
 };
 

@@ -7,54 +7,113 @@ namespace staq::ml::kernels {
 
 namespace {
 
-// Blocking parameters. kKc bounds the B panel touched per pass so it stays
-// in L1/L2 across the m sweep; kMr is the register-tile height (independent
-// A rows sharing one streamed B row). Neither affects results: per-element
-// accumulation order stays ascending k (blocks ascend, k ascends within).
-constexpr size_t kKc = 64;
+// Register-tiled GEMM core shared by GemmAccumulate and GemmAtB (see the
+// header for why the tile keeps results bit-identical). Row tails run 3-,
+// 2- and 1-row tiles; column tails a 2-wide vector and a scalar column.
+// kKc bounds the k block so the B panel a row of tiles sweeps stays in
+// cache when k is large (GNN's dense adjacency products); the tile
+// round-trips through C between blocks, which leaves the per-element order
+// unchanged.
+//
+// A is read through strides, A(r, kk) = a[r * a_rs + kk * a_cs], so one core
+// serves both A (a_rs = lda, a_cs = 1) and A^T (a_rs = 1, a_cs = lda).
+
+using V2 = double __attribute__((vector_size(16)));
+
 constexpr size_t kMr = 4;
+constexpr size_t kKc = 128;
+
+inline V2 Load2(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void Store2(double* p, V2 v) { std::memcpy(p, &v, sizeof(v)); }
+
+/// C[0, MR) x [0, 2 * NV) += A B over k steps.
+template <size_t MR, size_t NV>
+inline void VectorTile(size_t k, const double* a, size_t a_rs, size_t a_cs,
+                       const double* b, size_t ldb, double* c, size_t ldc) {
+  V2 acc[MR][NV];
+  for (size_t r = 0; r < MR; ++r) {
+    for (size_t v = 0; v < NV; ++v) acc[r][v] = Load2(c + r * ldc + 2 * v);
+  }
+  for (size_t kk = 0; kk < k; ++kk) {
+    V2 bv[NV];
+    for (size_t v = 0; v < NV; ++v) bv[v] = Load2(b + kk * ldb + 2 * v);
+    const double* ak = a + kk * a_cs;
+    for (size_t r = 0; r < MR; ++r) {
+      const double av = ak[r * a_rs];
+      const V2 avv = {av, av};
+      for (size_t v = 0; v < NV; ++v) acc[r][v] += avv * bv[v];
+    }
+  }
+  for (size_t r = 0; r < MR; ++r) {
+    for (size_t v = 0; v < NV; ++v) Store2(c + r * ldc + 2 * v, acc[r][v]);
+  }
+}
+
+/// C[0, MR) x {0} += A B over k steps: the one-column tail (and the whole
+/// of an n = 1 product).
+template <size_t MR>
+inline void ScalarTile(size_t k, const double* a, size_t a_rs, size_t a_cs,
+                       const double* b, size_t ldb, double* c, size_t ldc) {
+  double acc[MR];
+  for (size_t r = 0; r < MR; ++r) acc[r] = c[r * ldc];
+  for (size_t kk = 0; kk < k; ++kk) {
+    const double bv = b[kk * ldb];
+    const double* ak = a + kk * a_cs;
+    for (size_t r = 0; r < MR; ++r) acc[r] += ak[r * a_rs] * bv;
+  }
+  for (size_t r = 0; r < MR; ++r) c[r * ldc] = acc[r];
+}
+
+/// One row of tiles: MR rows of C across all n columns.
+template <size_t MR>
+void TileRow(size_t k, size_t n, const double* a, size_t a_rs, size_t a_cs,
+             const double* b, size_t ldb, double* c, size_t ldc) {
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    VectorTile<MR, 2>(k, a, a_rs, a_cs, b + j, ldb, c + j, ldc);
+  }
+  if (j + 2 <= n) {
+    VectorTile<MR, 1>(k, a, a_rs, a_cs, b + j, ldb, c + j, ldc);
+    j += 2;
+  }
+  if (j < n) ScalarTile<MR>(k, a, a_rs, a_cs, b + j, ldb, c + j, ldc);
+}
+
+/// C (m x n, ldc) += A (m x k, strides a_rs/a_cs) * B (k x n, ldb).
+void TiledGemm(size_t m, size_t k, size_t n, const double* a, size_t a_rs,
+               size_t a_cs, const double* b, size_t ldb, double* c,
+               size_t ldc) {
+  if (m == 0 || n == 0) return;
+  for (size_t k0 = 0; k0 < k; k0 += kKc) {
+    const size_t kb = k - k0 < kKc ? k - k0 : kKc;
+    const double* ab = a + k0 * a_cs;
+    const double* bb = b + k0 * ldb;
+    size_t i = 0;
+    for (; i + kMr <= m; i += kMr) {
+      TileRow<kMr>(kb, n, ab + i * a_rs, a_rs, a_cs, bb, ldb, c + i * ldc,
+                   ldc);
+    }
+    const double* ai = ab + i * a_rs;
+    double* ci = c + i * ldc;
+    switch (m - i) {
+      case 3: TileRow<3>(kb, n, ai, a_rs, a_cs, bb, ldb, ci, ldc); break;
+      case 2: TileRow<2>(kb, n, ai, a_rs, a_cs, bb, ldb, ci, ldc); break;
+      case 1: TileRow<1>(kb, n, ai, a_rs, a_cs, bb, ldb, ci, ldc); break;
+      default: break;
+    }
+  }
+}
 
 }  // namespace
 
 void GemmAccumulate(size_t m, size_t k, size_t n, const double* a, size_t lda,
                     const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t k0 = 0; k0 < k; k0 += kKc) {
-    const size_t k1 = k0 + kKc < k ? k0 + kKc : k;
-    size_t i = 0;
-    for (; i + kMr <= m; i += kMr) {
-      const double* __restrict a0 = a + (i + 0) * lda;
-      const double* __restrict a1 = a + (i + 1) * lda;
-      const double* __restrict a2 = a + (i + 2) * lda;
-      const double* __restrict a3 = a + (i + 3) * lda;
-      double* __restrict c0 = c + (i + 0) * ldc;
-      double* __restrict c1 = c + (i + 1) * ldc;
-      double* __restrict c2 = c + (i + 2) * ldc;
-      double* __restrict c3 = c + (i + 3) * ldc;
-      for (size_t kk = k0; kk < k1; ++kk) {
-        const double av0 = a0[kk];
-        const double av1 = a1[kk];
-        const double av2 = a2[kk];
-        const double av3 = a3[kk];
-        const double* __restrict br = b + kk * ldb;
-        for (size_t j = 0; j < n; ++j) {
-          const double bv = br[j];
-          c0[j] += av0 * bv;
-          c1[j] += av1 * bv;
-          c2[j] += av2 * bv;
-          c3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      const double* __restrict ar = a + i * lda;
-      double* __restrict cr = c + i * ldc;
-      for (size_t kk = k0; kk < k1; ++kk) {
-        const double av = ar[kk];
-        const double* __restrict br = b + kk * ldb;
-        for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
-      }
-    }
-  }
+  TiledGemm(m, k, n, a, lda, 1, b, ldb, c, ldc);
 }
 
 void Gemm(size_t m, size_t k, size_t n, const double* a, size_t lda,
@@ -70,15 +129,7 @@ void Gemm(size_t m, size_t k, size_t n, const double* a, size_t lda,
 
 void GemmAtB(size_t l, size_t m, size_t n, const double* a, size_t lda,
              const double* b, size_t ldb, double* c, size_t ldc) {
-  for (size_t ll = 0; ll < l; ++ll) {
-    const double* __restrict ar = a + ll * lda;
-    const double* __restrict br = b + ll * ldb;
-    for (size_t i = 0; i < m; ++i) {
-      const double av = ar[i];
-      double* __restrict cr = c + i * ldc;
-      for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
-    }
-  }
+  TiledGemm(m, l, n, a, 1, lda, b, ldb, c, ldc);
 }
 
 void Gemv(size_t m, size_t k, const double* a, size_t lda, const double* x,
@@ -114,6 +165,13 @@ void Axpy(size_t n, double alpha, const double* x, double* y) {
   const double* __restrict xs = x;
   double* __restrict ys = y;
   for (size_t i = 0; i < n; ++i) ys[i] += alpha * xs[i];
+}
+
+void Ema(size_t n, double decay, const double* x, double* y) {
+  const double* __restrict xs = x;
+  double* __restrict ys = y;
+  const double rest = 1.0 - decay;
+  for (size_t i = 0; i < n; ++i) ys[i] = decay * ys[i] + rest * xs[i];
 }
 
 void Scale(size_t n, double alpha, double* x) {

@@ -6,12 +6,25 @@
 //
 // Determinism contract: every kernel accumulates each *output element* in
 // one fixed order — ascending k for the GEMM family, ascending index for
-// the reductions — regardless of blocking parameters. The cache blocking
-// and register tiling only reorder work *across* output elements, never
-// the additions *into* one element, so results are bit-identical to the
-// straightforward loops they replace and independent of tile sizes. This
-// is what lets the models above keep the repo's bit-identical culture
-// while the kernels get faster.
+// the reductions — regardless of blocking parameters, so results are
+// bit-identical to the straightforward loops they replace. This is what
+// lets the models above keep the repo's bit-identical culture while the
+// kernels get faster.
+//
+// GemmAccumulate and GemmAtB share one register tile: up to 4 rows x 4
+// columns of C (two 2-wide vector accumulators per row) are loaded once,
+// accumulate across the whole k (or l) loop, and are stored once. Each
+// lane performs the scalar `c += a * b` in ascending k from C's prior
+// value and the build emits no fused multiply-add, so the tile changes
+// which loads and stores surround the additions, never the additions.
+// DenseNet's backward pass uses the same kernel for the upstream gradient:
+// next_delta = local * W^T on a zeroed buffer accumulates ascending j from
+// zero, the order of the per-sample W * local product it replaced. The
+// element-wise updates (Ema here, AdamOptimizer::Step in mlp.cc) vectorize
+// with packed multiply, add, divide and sqrt, which IEEE 754 rounds
+// exactly as the scalar instructions do, so every lane equals the scalar
+// expression bit for bit (src/ml/ builds with -fno-math-errno so sqrt
+// needs no errno branch).
 #pragma once
 
 #include <cstddef>
@@ -40,6 +53,10 @@ void Gemv(size_t m, size_t k, const double* a, size_t lda, const double* x,
 
 /// y[i] += alpha * x[i] for i in [0, n).
 void Axpy(size_t n, double alpha, const double* x, double* y);
+
+/// y[i] = decay * y[i] + (1 - decay) * x[i] for i in [0, n): an
+/// exponential moving average step (Mean Teacher's teacher update).
+void Ema(size_t n, double decay, const double* x, double* y);
 
 /// x[i] *= alpha for i in [0, n).
 void Scale(size_t n, double alpha, double* x);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "ml/kernels.h"
+
 namespace staq::ml {
 
 namespace {
@@ -117,11 +119,8 @@ util::Status MeanTeacher::Fit(const Dataset& data) {
       opt.Step(&student.params(), grad);
 
       // EMA teacher update.
-      auto& tp = teacher_->params();
-      const auto& sp = student.params();
-      for (size_t i = 0; i < tp.size(); ++i) {
-        tp[i] = config_.ema_decay * tp[i] + (1.0 - config_.ema_decay) * sp[i];
-      }
+      kernels::Ema(student.num_params(), config_.ema_decay,
+                   student.params().data(), teacher_->params().data());
     }
   }
   return util::Status::OK();

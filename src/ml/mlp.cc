@@ -112,13 +112,17 @@ void DenseNet::BackwardBatch(const double* x, size_t batch,
     kernels::GemmAtB(batch, in, out, input, in, local.data().data(), out, gw,
                      out);
     if (l > 0) {
-      // next_delta(r, .) = W local(r, .): one Gemv per sample, each row
-      // accumulating ascending j as a per-sample loop does.
-      scratch->next_delta.Reset(batch, in);
-      for (size_t r = 0; r < batch; ++r) {
-        kernels::Gemv(in, out, w, out, local.row(r),
-                      scratch->next_delta.row(r));
+      // next_delta = local W^T as one GEMM on a zeroed buffer: each element
+      // accumulates ascending j from zero, the order of a per-sample
+      // W local(r, .) product.
+      scratch->wt.Reset(out, in);
+      double* wt = scratch->wt.data().data();
+      for (size_t j = 0; j < out; ++j) {
+        for (size_t i = 0; i < in; ++i) wt[j * in + i] = w[i * out + j];
       }
+      scratch->next_delta.Reset(batch, in);
+      kernels::GemmAccumulate(batch, out, in, local.data().data(), out, wt, in,
+                              scratch->next_delta.data().data(), in);
       std::swap(scratch->delta, scratch->next_delta);
     }
   }
@@ -135,15 +139,28 @@ void AdamOptimizer::Step(std::vector<double>* params,
   STAQ_CHECK(params->size() == m_.size() && grad.size() == m_.size(),
              "AdamOptimizer::Step: size mismatch");
   ++t_;
-  double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (size_t i = 0; i < grad.size(); ++i) {
-    m_[i] = beta1_ * m_[i] + (1 - beta1_) * grad[i];
-    v_[i] = beta2_ * v_[i] + (1 - beta2_) * grad[i] * grad[i];
-    double m_hat = m_[i] / bc1;
-    double v_hat = v_[i] / bc2;
-    (*params)[i] -= lr_ * (m_hat / (std::sqrt(v_hat) + eps_) +
-                           weight_decay_ * (*params)[i]);
+  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  // Raw restrict pointers and hoisted constants let the loop vectorize;
+  // packed sqrt and div are correctly rounded, so every lane computes the
+  // same value the scalar expression does.
+  const double b1 = beta1_, b2 = beta2_;
+  const double c1 = 1 - beta1_, c2 = 1 - beta2_;
+  const double lr = lr_, wd = weight_decay_, eps = eps_;
+  double* __restrict p = params->data();
+  const double* __restrict g = grad.data();
+  double* __restrict m = m_.data();
+  double* __restrict v = v_.data();
+  const size_t n = m_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const double gi = g[i];
+    const double mi = b1 * m[i] + c1 * gi;
+    const double vi = b2 * v[i] + c2 * gi * gi;
+    m[i] = mi;
+    v[i] = vi;
+    const double m_hat = mi / bc1;
+    const double v_hat = vi / bc2;
+    p[i] -= lr * (m_hat / (std::sqrt(v_hat) + eps) + wd * p[i]);
   }
 }
 

@@ -5,7 +5,7 @@
 // this is the C++ substitute for the paper's PyTorch MLP, and the Mean
 // Teacher model reuses both.
 //
-// Training runs mini-batches through the blocked GEMM kernels
+// Training runs mini-batches through the register-tiled GEMM kernels
 // (ForwardBatch/BackwardBatch); per parameter, gradient terms accumulate in
 // ascending sample order — the order a one-sample-at-a-time loop uses — so
 // results are deterministic per (seed, batch size) and, at the default
@@ -29,6 +29,7 @@ struct DenseNetScratch {
   std::vector<Matrix> acts;  // per-layer activations, batch x width
   Matrix delta;              // gradient wrt current layer output
   Matrix next_delta;
+  Matrix wt;                 // one layer's W transposed, out x in
 };
 
 /// Fully-connected scalar-output network. Parameters live in one flat

@@ -223,9 +223,8 @@ std::shared_ptr<const JourneyPass> Scenario::BuildJourneyPass(
   STAQ_FAILPOINT("serve.scenario.build_label_state");
   auto pass = std::make_shared<JourneyPass>();
   pass->pois = PoisOf(key.category);
-  // The same TODAM as BuildLabelState (the columnar norms are bit-identical
-  // to the scalar ones).
-  pass->zone_norm = core::StableGravityNormsColumnar(
+  // The same TODAM as BuildLabelState.
+  pass->zone_norm = core::StableGravityNorms(
       base_->zones, base_->PoisOf(key.category), key.gravity.decay_scale_m);
   core::TodamBuilder builder(base_->zones, pass->pois, interval(),
                              key.gravity);

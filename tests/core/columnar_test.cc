@@ -11,6 +11,7 @@
 #include "core/todam.h"
 #include "synth/city_builder.h"
 #include "synth/city_spec.h"
+#include "testing/gravity_reference.h"
 #include "util/rng.h"
 
 namespace staq::core {
@@ -146,8 +147,9 @@ TEST(ColumnarNormsTest, BitIdenticalOnBothCityFamilies) {
     for (synth::PoiCategory cat :
          {synth::PoiCategory::kSchool, synth::PoiCategory::kHospital}) {
       std::vector<synth::Poi> pois = city.value().PoisOf(cat);
-      EXPECT_EQ(StableGravityNorms(city.value().zones, pois, 3000.0),
-                StableGravityNormsColumnar(city.value().zones, pois, 3000.0));
+      EXPECT_EQ(testing::ReferenceStableGravityNorms(city.value().zones, pois,
+                                                     3000.0),
+                StableGravityNorms(city.value().zones, pois, 3000.0));
     }
   }
 }

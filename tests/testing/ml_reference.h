@@ -9,9 +9,12 @@
 //
 // The neural references walk DenseNet::params() by hand in its documented
 // layout: per layer, row-major W[in][out] followed by b[out]. They start
-// from the same He initialisation (the DenseNet constructor), the same
-// scalers and the same AdamOptimizer, so any difference in the result is a
-// difference in how gradients are computed and accumulated.
+// from the same He initialisation (the DenseNet constructor) and the same
+// scalers, and update parameters through the scalar loops below
+// (ReferenceAdam, ReferenceEma), the originals of AdamOptimizer::Step and
+// Mean Teacher's teacher update. Any difference in the result is a
+// difference in how gradients are computed and accumulated or how the
+// vectorised updates round.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +32,48 @@
 #include "util/rng.h"
 
 namespace staq::testing {
+
+/// AdamOptimizer (AdamW) as one scalar loop over std::vector elements.
+class ReferenceAdam {
+ public:
+  ReferenceAdam(size_t num_params, double lr, double weight_decay)
+      : lr_(lr),
+        weight_decay_(weight_decay),
+        m_(num_params, 0.0),
+        v_(num_params, 0.0) {}
+
+  void Step(std::vector<double>* params, const std::vector<double>& grad) {
+    ++t_;
+    double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+    double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+    for (size_t i = 0; i < grad.size(); ++i) {
+      m_[i] = beta1_ * m_[i] + (1 - beta1_) * grad[i];
+      v_[i] = beta2_ * v_[i] + (1 - beta2_) * grad[i] * grad[i];
+      double m_hat = m_[i] / bc1;
+      double v_hat = v_[i] / bc2;
+      (*params)[i] -= lr_ * (m_hat / (std::sqrt(v_hat) + eps_) +
+                             weight_decay_ * (*params)[i]);
+    }
+  }
+
+ private:
+  double lr_;
+  double weight_decay_;
+  double beta1_ = 0.9;
+  double beta2_ = 0.999;
+  double eps_ = 1e-8;
+  int64_t t_ = 0;
+  std::vector<double> m_, v_;
+};
+
+/// Mean Teacher's EMA teacher update as one scalar loop.
+inline void ReferenceEma(double decay, const std::vector<double>& student,
+                         std::vector<double>* teacher) {
+  std::vector<double>& tp = *teacher;
+  for (size_t i = 0; i < tp.size(); ++i) {
+    tp[i] = decay * tp[i] + (1.0 - decay) * student[i];
+  }
+}
 
 namespace ml_reference_detail {
 
@@ -181,8 +226,7 @@ inline ReferenceNet ReferenceMlpFit(const ml::Dataset& data,
                    ml::DenseNet(xs.cols(), config.hidden, &rng),
                    target_scaler, scaler.Transform(data.x)};
   std::vector<double>& params = ref.net.params();
-  ml::AdamOptimizer opt(params.size(), config.learning_rate,
-                        config.weight_decay);
+  ReferenceAdam opt(params.size(), config.learning_rate, config.weight_decay);
   const size_t n = xs.rows();
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
@@ -224,8 +268,8 @@ inline ReferenceNet ReferenceMeanTeacherFit(
   ReferenceNet teacher{d::NetDims(dim, config.hidden), student, target_scaler,
                        scaler.Transform(data.x)};
   const std::vector<size_t>& dims = teacher.dims;
-  ml::AdamOptimizer opt(student.num_params(), config.learning_rate,
-                        config.weight_decay);
+  ReferenceAdam opt(student.num_params(), config.learning_rate,
+                    config.weight_decay);
 
   const size_t n = xs.rows();
   std::vector<size_t> order(n);
@@ -276,12 +320,7 @@ inline ReferenceNet ReferenceMeanTeacherFit(
 
       opt.Step(&student.params(), grad);
 
-      // EMA teacher update.
-      std::vector<double>& tp = teacher.net.params();
-      const std::vector<double>& sp = student.params();
-      for (size_t i = 0; i < tp.size(); ++i) {
-        tp[i] = config.ema_decay * tp[i] + (1.0 - config.ema_decay) * sp[i];
-      }
+      ReferenceEma(config.ema_decay, student.params(), &teacher.net.params());
     }
   }
   return teacher;
