@@ -32,8 +32,8 @@ struct PipelineConfig {
   /// How the labeled set L is chosen (paper default: random; the other
   /// strategies implement the §VI active-learning future-work item).
   SamplingStrategy sampling = SamplingStrategy::kRandom;
-  /// Worker threads for SSR model training (COREG pool screening, MLP
-  /// gradient chunks). Training results are bit-identical for every value.
+  /// Worker threads for SSR model training (MLP gradient chunks) and COREG
+  /// prediction. Results are bit-identical for every value.
   int ml_threads = 1;
 };
 

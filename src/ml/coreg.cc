@@ -11,17 +11,6 @@ namespace staq::ml {
 
 namespace {
 
-/// Pool slots handed to one screening task at a time. Layout is fixed, so
-/// the thread count never changes which slot a candidate lands in.
-constexpr size_t kScreenChunkSlots = 8;
-
-/// Smallest pool screened across threads. An incremental Screen costs a
-/// few microseconds, so a pass over a smaller pool (the default pool is
-/// 100) finishes before pool workers would wake: at 322 zones a 2-thread
-/// fit ran slower than a serial one. Screening writes per-slot buffers
-/// reduced by a serial argmax either way, so this never changes results.
-constexpr size_t kMinParallelScreenSlots = 512;
-
 /// Incremental screening state for one component regressor. Holds, for
 /// every stored example, its leave-one-out neighbour list and cached
 /// squared LOO error, and for every pool candidate its top-k list; all of
@@ -31,11 +20,6 @@ constexpr size_t kMinParallelScreenSlots = 512;
 /// whether the tentative candidate would enter each neighbour's LOO list,
 /// which the cached symmetric distance d(candidate, i) == d(i, candidate)
 /// answers in O(1) per neighbour.
-///
-/// Thread safety: SyncStore/EnsureCandidates/EraseCandidate are called
-/// serially between screening passes. During a pass, Screen may run
-/// concurrently for different candidates — it reads loo_/err_ and the
-/// store, and writes only the candidate's own pre-created cache entry.
 class ScreeningState {
  public:
   explicit ScreeningState(const KnnCore* core) : core_(core) {}
@@ -61,15 +45,6 @@ class ScreeningState {
     synced_ = n;
   }
 
-  /// Creates cache entries for every pool candidate so that concurrent
-  /// Screen calls never mutate the map structure.
-  void EnsureCandidates(const std::vector<uint32_t>& unlabeled,
-                        size_t pool_end) {
-    for (size_t p = 0; p < pool_end; ++p) {
-      candidates_.try_emplace(unlabeled[p]);
-    }
-  }
-
   void EraseCandidate(uint32_t zone) { candidates_.erase(zone); }
 
   /// Error reduction for one candidate; also reports its pseudo-label
@@ -79,7 +54,7 @@ class ScreeningState {
   /// order the rescans produce them.
   double Screen(uint32_t zone, const double* row, NeighborScratch* scratch,
                 double* pseudo_out) {
-    CachedNeighbors& cache = candidates_.find(zone)->second;
+    CachedNeighbors& cache = candidates_[zone];
     core_->UpdateNeighbors(row, UINT32_MAX, &cache, scratch);
     const auto& nb = cache.sorted;
     *pseudo_out = 0.0;
@@ -158,7 +133,6 @@ util::Status Coreg::Fit(const Dataset& data) {
 
   ScreeningState s1(h1_.get()), s2(h2_.get());
   NeighborScratch scratch;
-  std::vector<double> deltas, pseudos;
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     bool any_added = false;
@@ -173,28 +147,18 @@ util::Status Coreg::Fit(const Dataset& data) {
       size_t best_pos = SIZE_MAX;
       double best_label = 0.0;
       state->SyncStore(&scratch);
-      state->EnsureCandidates(unlabeled, pool_end);
-      deltas.assign(pool_end, 0.0);
-      pseudos.assign(pool_end, 0.0);
-      // Read-only screening over per-slot buffers: safe to fan out, and
-      // the serial ascending-slot argmax below keeps selection (and so
-      // the whole fit) bit-identical for any thread count.
-      const int screen_threads =
-          pool_end < kMinParallelScreenSlots ? 1 : config_.threads;
-      ForEachChunk(screen_threads, pool_end, kScreenChunkSlots,
-                   [&](size_t, size_t begin, size_t end) {
-                     NeighborScratch local;
-                     for (size_t p = begin; p < end; ++p) {
-                       const uint32_t zone = unlabeled[p];
-                       deltas[p] = state->Screen(zone, x_all_scaled_.row(zone),
-                                                 &local, &pseudos[p]);
-                     }
-                   });
+      // Serial screening: one incremental Screen costs microseconds, so a
+      // pass over the pool is cheaper than waking pool workers to split it.
+      // Ascending slots with a strict `>` keep the first best candidate.
       for (size_t p = 0; p < pool_end; ++p) {
-        if (deltas[p] > best_delta) {
-          best_delta = deltas[p];
+        const uint32_t zone = unlabeled[p];
+        double pseudo = 0.0;
+        const double delta =
+            state->Screen(zone, x_all_scaled_.row(zone), &scratch, &pseudo);
+        if (delta > best_delta) {
+          best_delta = delta;
           best_pos = p;
-          best_label = pseudos[p];
+          best_label = pseudo;
         }
       }
       if (best_pos != SIZE_MAX) {

@@ -11,9 +11,8 @@
 // iteration; the resulting model and pseudo-label count are bit-identical
 // to the original full-rescan screening, which survives only as the
 // reference the tests and bench_ml check against
-// (tests/testing/ml_reference.h). Screening fans out across
-// util::ThreadPool with a fixed-order argmax reduction, so `threads` never
-// changes results.
+// (tests/testing/ml_reference.h). Screening runs serially: a pass over
+// the pool costs less than waking pool workers to split it.
 #pragma once
 
 #include <memory>
@@ -32,11 +31,8 @@ struct CoregConfig {
   /// Size of the random unlabeled pool screened per iteration.
   size_t pool_size = 100;
   uint64_t seed = 11;
-  /// Worker count for pool screening and batch prediction. Pools under a
-  /// fixed size (coreg.cc) screen serially, since waking workers costs more
-  /// than the pass. Candidates are screened into per-slot buffers and
-  /// reduced by a serial fixed-order argmax, so Fit and Predict are
-  /// bit-identical for every value.
+  /// Worker count for batch prediction, which splits rows into fixed
+  /// chunks, so Predict is bit-identical for every value. Fit is serial.
   int threads = 1;
 };
 

@@ -92,7 +92,7 @@ class AqServer {
     /// Worker threads; 0 = hardware concurrency.
     size_t num_threads = 0;
     /// Worker threads for SSR model training inside each access query
-    /// (COREG pool screening, MLP gradient chunks). Training is
+    /// (MLP gradient chunks) and COREG prediction. Results are
     /// bit-identical for every value, so this is deliberately NOT part of
     /// the result-cache key — changing it never changes answers.
     int ml_threads = 1;

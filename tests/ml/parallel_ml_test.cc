@@ -1,6 +1,6 @@
 // Bit-identity of the parallel SSR training paths across thread counts.
 //
-// COREG pool screening and MLP gradient computation fan out across the
+// COREG prediction and MLP gradient computation fan out across the
 // shared util::ThreadPool, but chunk layout is fixed by the input size and
 // every reduction runs serially in a fixed order — so any thread count must
 // produce byte-for-byte the same model. These suites EXPECT_EQ (not NEAR)
